@@ -5,77 +5,9 @@ machines that score traces with signed satisfaction degrees, and search a
 parameterized input space for a test case with negative fitness.
 """
 
-from .aggregate import RunningMin, aggregate_step, finalize
-from .expr import (
-    And,
-    BinaryArith,
-    Const,
-    DivisionByZeroError,
-    Env,
-    EvalError,
-    Not,
-    Or,
-    PrevRef,
-    Rel,
-    SignalRef,
-    TimeVar,
-    UnboundNameError,
-    degree,
-    eval_arith,
-    eval_bool,
-)
-from .monitor import (
-    ConflictingActionError,
-    MissingActionError,
-    MonitorAutomaton,
-    MonitorError,
-    MonitorRun,
-    MonitorState,
-    Phase,
-    compile_table,
-    monitor_init,
-    monitor_step,
-    run_monitor,
-    write_degree_csv,
-)
-from .search import (
-    Evaluation,
-    FalsificationResult,
-    ParameterizedInput,
-    SAConfig,
-    SearchConfig,
-    SearchError,
-    SignalShape,
-    evaluate,
-    falsify,
-    instantiate,
-    sa_step,
-)
-from .sim import (
-    MODEL_PRESETS,
-    GainCrossModel,
-    PlantDemoModel,
-    SignalMismatchError,
-    SimError,
-    SystemModel,
-    Trace,
-    make_model,
-    read_trace_csv,
-    simulate,
-    write_trace_csv,
-)
-from .table import (
-    Assignment,
-    Diagnostic,
-    Requirement,
-    RequirementsTable,
-    TableSyntaxError,
-    TableValidationError,
-    format_table,
-    load_bundled_table,
-    load_table,
-    parse_table,
-    validate,
-)
+from .monitor import compile_table, run_monitor
+from .search import ParameterizedInput, SearchConfig, SignalShape, falsify
+from .sim import SystemModel, Trace, make_model
+from .table import load_bundled_table
 
 __version__ = "0.1.0"

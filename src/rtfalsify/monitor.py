@@ -19,17 +19,36 @@ aborts a simulation.
 
 prev(...) reads go through a one-step delay buffer seeded with the declared
 initial values, so step 0 sees the init values and step k sees step k-1.
+
+The machines run as one array engine over a batch of traces (candidates x
+samples): every expression is evaluated once per batch, and the phases
+follow from the guards' run lengths. Only an action that reads prev() of a
+table output makes the outputs a recurrence; that case runs the same
+kernels one step at a time. A run stops with the error that a step-by-step
+run meets first: the earliest step, and within it guards, then actions,
+then missing outputs, then postconditions, each in requirement order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping
 
-from .aggregate import RunningMin, aggregate_step, finalize
-from .expr import BoolExpr, Env, degree, eval_arith, eval_bool
+import numpy as np
+
+# the scalar reference semantics; bench/tracing.py counts calls to these names
+from .expr import degree, eval_arith, eval_bool  # noqa: F401
+from .expr import (
+    ArrayEnv,
+    BoolExpr,
+    DivisionByZeroError,
+    arith_array,
+    degree_array,
+    holds_array,
+    prev_names,
+)
+from .sim import SignalMismatchError, Trace
 from .table import (
     Assignment,
     RequirementsTable,
@@ -42,12 +61,6 @@ INF = math.inf
 
 # absorbs float accumulation in the elapsed-time comparison, scaled by dt
 ET_TOLERANCE = 1e-9
-
-
-class Phase(Enum):
-    PRC = "PRC"
-    WT = "WT"
-    POA = "POA"
 
 
 class MonitorError(Exception):
@@ -67,6 +80,15 @@ class ConflictingActionError(MonitorError):
             f"output '{output}' assigned conflicting values {first!r} and {second!r} at t={t}"
         )
         self.output = output
+        self.t = t
+
+
+class UndefinedDegreeError(MonitorError):
+    """A postcondition's degree is NaN, e.g. from ``inf - inf``: no verdict can rest on it."""
+
+    def __init__(self, requirement: int, t: float):
+        super().__init__(f"requirement {requirement} has an undefined (NaN) degree at t={t}")
+        self.requirement = requirement
         self.t = t
 
 
@@ -101,6 +123,16 @@ class MonitorAutomaton:
     def requirement_indexes(self) -> tuple[int, ...]:
         return tuple(r.index for r in self.requirements)
 
+    @property
+    def recurrent(self) -> bool:
+        """True when an action reads prev() of a table output, so step k needs step k-1."""
+        outputs = set(self.outputs)
+        return any(
+            prev_names(action.value) & outputs
+            for req in self.requirements
+            for action in req.actions
+        )
+
 
 def compile_table(table: RequirementsTable) -> MonitorAutomaton:
     """Build the monitor automaton for a validated table.
@@ -130,138 +162,6 @@ def compile_table(table: RequirementsTable) -> MonitorAutomaton:
     )
 
 
-class MonitorState:
-    """Mutable runtime state of one monitored run; single-owner.
-
-    After init or a step, ``step_degrees`` and ``action_outputs`` hold what
-    the machines emitted for the step just processed.
-    """
-
-    __slots__ = (
-        "automaton",
-        "phases",
-        "entry_times",
-        "prev_buffer",
-        "last_t",
-        "step_degrees",
-        "action_outputs",
-    )
-
-    def __init__(self, automaton: MonitorAutomaton):
-        self.automaton = automaton
-        self.phases: list[Phase] = [Phase.PRC] * len(automaton.requirements)
-        self.entry_times: list[float] = [0.0] * len(automaton.requirements)
-        self.prev_buffer: dict[str, float] = dict(automaton.initial_values)
-        self.last_t = 0.0
-        self.step_degrees: list[float] = []
-        self.action_outputs: dict[str, float] = {}
-
-
-def _guard_holds(req: CompiledRequirement, env: Env) -> bool:
-    return True if req.guard is None else eval_bool(req.guard, env)
-
-
-def monitor_init(
-    automaton: MonitorAutomaton, signals: Mapping[str, float], t0: float = 0.0
-) -> MonitorState:
-    """Start a run at time t0 and process the first step.
-
-    A machine whose guard already holds enters POA directly (WT when the
-    requirement has a positive duration); step-0 degrees and actions are
-    produced immediately.
-    """
-    state = MonitorState(automaton)
-    env = Env(signals=signals, prev=state.prev_buffer, t=t0)
-    for i, req in enumerate(automaton.requirements):
-        if _guard_holds(req, env):
-            if req.has_waiting_phase:
-                state.phases[i] = Phase.WT
-                state.entry_times[i] = t0
-            else:
-                state.phases[i] = Phase.POA
-        else:
-            state.phases[i] = Phase.PRC
-    _emit(state, signals, t0)
-    state.last_t = t0
-    return state
-
-
-def monitor_step(
-    state: MonitorState, signals: Mapping[str, float], t: float
-) -> tuple[MonitorState, list[float], dict[str, float]]:
-    """Advance every machine by at most one transition and emit the step.
-
-    ``t`` must exceed the previous step's time by the trace step size.
-    Returns the (mutated) state plus the degrees and action outputs of this
-    step.
-    """
-    automaton = state.automaton
-    dt = t - state.last_t
-    tolerance = ET_TOLERANCE * dt
-    env = Env(signals=signals, prev=state.prev_buffer, t=t)
-    for i, req in enumerate(automaton.requirements):
-        phase = state.phases[i]
-        holds = _guard_holds(req, env)
-        if phase is Phase.PRC:
-            if holds:
-                if req.has_waiting_phase:
-                    state.phases[i] = Phase.WT
-                    state.entry_times[i] = t
-                else:
-                    state.phases[i] = Phase.POA
-        elif phase is Phase.WT:
-            if not holds:
-                state.phases[i] = Phase.PRC
-            elif t - state.entry_times[i] >= req.duration - tolerance:
-                state.phases[i] = Phase.POA
-        else:  # POA
-            if not holds:
-                state.phases[i] = Phase.PRC
-    degrees, outputs = _emit(state, signals, t)
-    state.last_t = t
-    return state, degrees, outputs
-
-
-def _emit(
-    state: MonitorState, signals: Mapping[str, float], t: float
-) -> tuple[list[float], dict[str, float]]:
-    automaton = state.automaton
-    env = Env(signals=signals, prev=state.prev_buffer, t=t)
-
-    outputs: dict[str, float] = {}
-    for i, req in enumerate(automaton.requirements):
-        if state.phases[i] is not Phase.POA:
-            continue
-        for action in req.actions:
-            value = eval_arith(action.value, env)
-            if action.target in outputs and outputs[action.target] != value:
-                raise ConflictingActionError(action.target, t, outputs[action.target], value)
-            outputs[action.target] = value
-    for output in automaton.outputs:
-        if output not in outputs:
-            raise MissingActionError(output, t)
-
-    post_env = Env(signals={**signals, **outputs}, prev=state.prev_buffer, t=t) if outputs else env
-    degrees = [
-        degree(req.postcondition, post_env)
-        if state.phases[i] is Phase.POA and req.postcondition is not None
-        else INF
-        for i, req in enumerate(automaton.requirements)
-    ]
-
-    for sig in automaton.prev_signals:
-        if sig in outputs:
-            state.prev_buffer[sig] = outputs[sig]
-        elif sig in signals:
-            state.prev_buffer[sig] = signals[sig]
-        else:
-            raise MissingActionError(sig, t)
-
-    state.step_degrees = degrees
-    state.action_outputs = outputs
-    return degrees, outputs
-
-
 @dataclass
 class MonitorRun:
     """Everything one monitored run produced."""
@@ -274,50 +174,214 @@ class MonitorRun:
     fitness: float
 
 
+@dataclass
+class MonitorBatch:
+    """What the machines produced over a batch of traces, as arrays."""
+
+    times: np.ndarray  # (samples,)
+    requirement_indexes: tuple[int, ...]
+    degrees: np.ndarray  # (candidates, samples, requirements)
+    outputs: dict[str, np.ndarray]  # (candidates, samples) per table output
+    fitness: np.ndarray  # (candidates,)
+
+    def run(self, c: int) -> MonitorRun:
+        """Candidate ``c``'s run, with plain-float lists."""
+        degrees = self.degrees[c]
+        running = np.minimum.accumulate(degrees.min(axis=1, initial=INF))
+        return MonitorRun(
+            times=self.times.tolist(),
+            requirement_indexes=self.requirement_indexes,
+            degrees=degrees.tolist(),
+            running=_first_zero_sign(running, degrees.ravel()).tolist(),
+            outputs={name: values[c].tolist() for name, values in self.outputs.items()},
+            fitness=float(self.fitness[c]),
+        )
+
+
+def _first_zero_sign(minima: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Give zero minima the sign of the first zero in ``values``' last axis.
+
+    Folding ``if d < current: current = d`` over the degrees in step order
+    keeps the first of equal minima; only zeros can differ among equals.
+    """
+    zero = minima == 0
+    if zero.any():
+        first = np.take_along_axis(values, np.argmax(values == 0, axis=-1)[..., None], axis=-1)
+        minima = np.where(zero, first[..., 0], minima)
+    return minima
+
+
 def run_monitor(automaton: MonitorAutomaton, trace) -> MonitorRun:
     """Execute the automaton over a whole trace and aggregate the fitness.
 
     The trace must contain every table input at a uniform step; errors from
-    individual steps (missing or conflicting actions, unbound names)
-    propagate.
+    individual steps (missing or conflicting actions, division by zero, a
+    NaN degree) propagate.
     """
-    from .sim import SignalMismatchError, Trace
-
     if not isinstance(trace, Trace):
         raise TypeError("run_monitor expects a Trace")
-    missing = [s for s in automaton.inputs if s not in trace.samples]
+    signals = {name: values[None] for name, values in trace.samples.items()}
+    return monitor_batch(automaton, signals, trace.times).run(0)
+
+
+def monitor_batch(
+    automaton: MonitorAutomaton, signals: Mapping[str, np.ndarray], times: np.ndarray
+) -> MonitorBatch:
+    """Run every machine over a batch of traces at once.
+
+    ``signals`` maps names to arrays of shape (candidates, samples), all
+    sampled at ``times``. Raises the error a step-by-step run meets first.
+    """
+    missing = [s for s in automaton.inputs if s not in signals]
     if missing:
         raise SignalMismatchError(f"trace is missing table inputs: {', '.join(missing)}")
+    with np.errstate(all="ignore"):
+        return _Engine(automaton, signals, times).run()
 
-    times = trace.times
-    degrees_rows: list[list[float]] = []
-    running: list[float] = []
-    outputs: dict[str, list[float]] = {name: [] for name in automaton.outputs}
-    acc = RunningMin()
 
-    state: MonitorState | None = None
-    for k in range(trace.n_samples):
-        row = trace.values_at(k)
-        t = float(times[k])
-        if state is None:
-            state = monitor_init(automaton, row, t)
-            step_degrees, step_outputs = state.step_degrees, state.action_outputs
-        else:
-            _, step_degrees, step_outputs = monitor_step(state, row, t)
-        degrees_rows.append(list(step_degrees))
-        acc = aggregate_step(acc, step_degrees)
-        running.append(acc.current)
-        for name in automaton.outputs:
-            outputs[name].append(step_outputs[name])
+class _Engine:
+    """One monitor_batch call: the batch, the masks built from it, the errors found."""
 
-    return MonitorRun(
-        times=[float(x) for x in times],
-        requirement_indexes=automaton.requirement_indexes,
-        degrees=degrees_rows,
-        running=running,
-        outputs=outputs,
-        fitness=finalize(acc),
-    )
+    def __init__(self, automaton: MonitorAutomaton, signals, times: np.ndarray):
+        self.automaton = automaton
+        self.signals = signals
+        self.times = times
+        self.shape = next(iter(signals.values())).shape
+        init = automaton.initial_values
+        outputs = set(automaton.outputs)
+        # prev() of a trace signal is the trace delayed by one step
+        self.prev = {
+            s: _delayed(signals[s], init[s]) for s in automaton.prev_signals if s not in outputs
+        }
+        self.prev_outputs = [s for s in automaton.prev_signals if s in outputs]
+        # (step mask, order within a step, exception factory) of every error source
+        self.errors: list[tuple[np.ndarray, tuple, object]] = []
+
+    def run(self) -> MonitorBatch:
+        automaton, shape, times = self.automaton, self.shape, self.times
+        n_candidates, n = shape
+        env = ArrayEnv(self.signals, self.prev, times[None, :])
+        active = [
+            _postcondition_active(self._guard(i, req, env), req, times)
+            for i, req in enumerate(automaton.requirements)
+        ]
+        guard_errors, self.errors = self.errors, []
+
+        degrees = np.full((n_candidates, n, len(active)), INF)
+        outputs = {name: np.empty(shape) for name in automaton.outputs}
+        carry = {s: np.full((n_candidates, 1), automaton.initial_values[s]) for s in self.prev_outputs}
+        steps = [slice(k, k + 1) for k in range(n)] if automaton.recurrent else [slice(0, n)]
+        for cols in steps:
+            signals = {name: values[:, cols] for name, values in self.signals.items()}
+            prev = {name: values[:, cols] for name, values in self.prev.items()}
+            t = times[None, cols]
+            live = [mask[:, cols] for mask in active]
+            # actions read prev() of an output only in the recurrent case, one step at a time
+            values = self._actions(ArrayEnv(signals, {**prev, **carry}, t), live)
+            for name, column in values.items():
+                outputs[name][:, cols] = column
+            prev.update({s: _delayed(values[s], carry[s]) for s in carry})
+            carry = {s: values[s][:, -1:] for s in carry}
+            post_env = ArrayEnv({**signals, **values}, prev, t)
+            for i, req in enumerate(automaton.requirements):
+                if req.postcondition is not None:
+                    degrees[:, cols, i] = self._postcondition(i, req, post_env, live[i])
+            self._raise_first([(m[:, cols], key, make) for m, key, make in guard_errors], t[0])
+
+        fitness = degrees.reshape(n_candidates, -1).min(axis=1, initial=INF)
+        return MonitorBatch(
+            times=times,
+            requirement_indexes=automaton.requirement_indexes,
+            degrees=degrees,
+            outputs=outputs,
+            fitness=_first_zero_sign(fitness, degrees.reshape(n_candidates, -1)),
+        )
+
+    def _guard(self, i: int, req: CompiledRequirement, env: ArrayEnv) -> np.ndarray:
+        if req.guard is None:
+            return np.ones(self.shape, dtype=bool)
+        env.zero_division = False
+        holds = np.broadcast_to(holds_array(req.guard, env), self.shape)
+        self._note_division(env, (0, i))
+        return holds
+
+    def _actions(self, env: ArrayEnv, live: list[np.ndarray]) -> dict[str, np.ndarray]:
+        """Every output's value: the last active action's, checked for conflicts and gaps."""
+        shape = (self.shape[0], env.t.shape[1])
+        values = {name: np.full(shape, np.nan) for name in self.automaton.outputs}
+        assigned = {name: np.zeros(shape, dtype=bool) for name in self.automaton.outputs}
+        for i, req in enumerate(self.automaton.requirements):
+            for a, action in enumerate(req.actions):
+                env.zero_division = False
+                value = np.broadcast_to(arith_array(action.value, env, live[i]), shape)
+                self._note_division(env, (1, i, a, 0))
+                target, current = action.target, values[action.target]
+                conflict = live[i] & assigned[target] & (current != value)
+                if conflict.any():
+                    self.errors.append((conflict, (1, i, a, 1), _conflict(target, current, value)))
+                values[target] = np.where(live[i], value, current)
+                assigned[target] = assigned[target] | live[i]
+        for j, name in enumerate(self.automaton.outputs):
+            unset = ~assigned[name]
+            if unset.any():
+                self.errors.append((unset, (2, j), lambda c, k, t, name=name: MissingActionError(name, t)))
+        return values
+
+    def _postcondition(self, i: int, req, env: ArrayEnv, live: np.ndarray) -> np.ndarray:
+        env.zero_division = False
+        value = np.broadcast_to(degree_array(req.postcondition, env, live), live.shape)
+        self._note_division(env, (3, i, 0))
+        undefined = live & np.isnan(value)
+        if undefined.any():
+            self.errors.append(
+                (undefined, (3, i, 1), lambda c, k, t, idx=req.index: UndefinedDegreeError(idx, t))
+            )
+        return np.where(live, value, INF)
+
+    def _note_division(self, env: ArrayEnv, key: tuple) -> None:
+        if np.any(env.zero_division):
+            mask = np.broadcast_to(env.zero_division, (self.shape[0], env.t.shape[1]))
+            self.errors.append((mask, key, lambda c, k, t: DivisionByZeroError()))
+
+    def _raise_first(self, guard_errors: list, t: np.ndarray) -> None:
+        """Raise the error of the earliest step, ties broken in step-by-step order."""
+        first = None
+        for mask, key, make in guard_errors + self.errors:
+            steps = np.flatnonzero(mask.any(axis=0))
+            if steps.size and (first is None or (steps[0], key) < first[:2]):
+                first = (steps[0], key, mask, make)
+        if first is not None:
+            k, _, mask, make = first
+            raise make(int(np.argmax(mask[:, k])), k, float(t[k]))
+
+
+def _delayed(values: np.ndarray, first) -> np.ndarray:
+    """``values`` shifted one step later along the samples, starting from ``first``."""
+    head = np.broadcast_to(first, (values.shape[0], 1))
+    return np.concatenate([head, values[:, :-1]], axis=1)
+
+
+def _conflict(target: str, current: np.ndarray, value: np.ndarray):
+    def make(c: int, k: int, t: float) -> ConflictingActionError:
+        return ConflictingActionError(target, t, float(current[c, k]), float(value[c, k]))
+
+    return make
+
+
+def _postcondition_active(guard: np.ndarray, req: CompiledRequirement, times) -> np.ndarray:
+    """The POA mask: where the guard holds and, with a duration, has held long enough.
+
+    A positive duration starts timing at the first step of each run of
+    guard-true steps (the WT entry) and reaches POA on a later step of the
+    run once the elapsed time, less a dt-scaled tolerance, reaches it.
+    """
+    if not req.has_waiting_phase:
+        return guard
+    entry = guard.copy()
+    entry[:, 1:] &= ~guard[:, :-1]
+    run_start = np.maximum.accumulate(np.where(entry, np.arange(times.size), 0), axis=1)
+    tolerance = ET_TOLERANCE * np.diff(times, prepend=times[0])
+    return guard & ~entry & (times - times[run_start] >= req.duration - tolerance)
 
 
 def write_degree_csv(run: MonitorRun, path: str) -> None:

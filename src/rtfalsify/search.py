@@ -6,6 +6,11 @@ levels plus k switch times per signal. The search minimizes the monitored
 fitness over that box and stops at the first test case whose fitness is
 negative (a failure-revealing test case, verdict TC); exhausting the budget
 yields verdict NFF. Both algorithms are fully reproducible from the seed.
+
+Uniform random search evaluates its candidates in batches of 1, 2, 4, ...
+through the array engine; it records the same history as drawing and
+evaluating them one at a time, because one draw of n rows yields the same
+numbers as n draws of one row.
 """
 
 from __future__ import annotations
@@ -16,14 +21,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .monitor import MonitorAutomaton, MonitorRun, compile_table, run_monitor
-from .sim import SystemModel, Trace, n_samples_for, simulate
+from .monitor import MonitorAutomaton, MonitorBatch, MonitorRun, compile_table, monitor_batch, run_monitor
+from .sim import SystemModel, Trace, n_samples_for, simulate, simulate_batch
 from .table import RequirementsTable
 
 INF = math.inf
 
 # stand-in for an infinite fitness inside Metropolis arithmetic
 VACUOUS_PENALTY = 1e15
+
+# most candidate-samples in one uniform-random batch: large enough to spread
+# the per-batch cost, small enough to keep the batch's arrays in cache
+BATCH_SAMPLES = 1 << 12
 
 UNIFORM_RANDOM = "uniform-random"
 SIMULATED_ANNEALING = "simulated-annealing"
@@ -72,8 +81,9 @@ class ParameterizedInput:
     Parameters are laid out per signal: level_0 .. level_k then
     switch_1 .. switch_k, with levels bounded by the signal's range and
     switch times by [0, horizon]. Any in-bounds vector instantiates to a
-    valid trace over the full horizon; switch times are sorted before use,
-    so their order in the vector does not matter.
+    valid trace over the full horizon; a sample takes the level after as
+    many switches as lie at or before it, so the order of the switch times
+    in the vector does not matter.
     """
 
     shapes: tuple[SignalShape, ...]
@@ -107,32 +117,43 @@ class ParameterizedInput:
             np.array([p.upper for p in params]),
         )
 
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(n_samples_for(self.horizon, self.dt)) * self.dt
+
     def instantiate(self, params: Sequence[float]) -> Trace:
         """Build the input trace for one parameter vector."""
+        rows = self.instantiate_batch(np.asarray(params, dtype=float)[None])
+        return Trace(dt=self.dt, samples={name: values[0] for name, values in rows.items()})
+
+    def instantiate_batch(self, params: np.ndarray) -> dict[str, np.ndarray]:
+        """The input signals of many parameter vectors, one per row of ``params``.
+
+        Returns arrays of shape (rows, samples), one per signal.
+        """
         spec = self.parameters
         values = np.asarray(params, dtype=float)
-        if values.shape != (len(spec),):
-            raise ArityMismatchError(f"expected {len(spec)} parameters, got {values.shape}")
-        for p, v in zip(spec, values):
-            if not (p.lower <= v <= p.upper):
-                raise OutOfBoundsError(f"{p.name}={v!r} outside [{p.lower}, {p.upper}]")
+        if values.ndim != 2 or values.shape[1] != len(spec):
+            raise ArityMismatchError(f"expected rows of {len(spec)} parameters, got shape {values.shape}")
+        lows, highs = self.bounds
+        outside = ~((lows <= values) & (values <= highs))
+        if outside.any():
+            row, j = np.argwhere(outside)[0]
+            p = spec[j]
+            raise OutOfBoundsError(f"{p.name}={values[row, j]!r} outside [{p.lower}, {p.upper}]")
 
-        times = np.arange(n_samples_for(self.horizon, self.dt)) * self.dt
+        times = self.times
         samples: dict[str, np.ndarray] = {}
         offset = 0
         for shape in self.shapes:
             k = shape.discontinuities
-            levels = values[offset : offset + k + 1]
-            switches = np.sort(values[offset + k + 1 : offset + 2 * k + 1])
+            levels = values[:, offset : offset + k + 1]
+            switches = values[:, offset + k + 1 : offset + 2 * k + 1]
             offset += 2 * k + 1
             # value at time u is the level of the last switch at or before u
-            segment = np.searchsorted(switches, times, side="right")
-            samples[shape.name] = levels[segment]
-        return Trace(dt=self.dt, samples=samples)
-
-
-def instantiate(pi: ParameterizedInput, params: Sequence[float]) -> Trace:
-    return pi.instantiate(params)
+            segment = (switches[:, :, None] <= times).sum(axis=1)
+            samples[shape.name] = np.take_along_axis(levels, segment, axis=1)
+        return samples
 
 
 @dataclass(frozen=True)
@@ -204,6 +225,26 @@ def evaluate(
     return Evaluation(fitness=run.fitness, trace=merged, run=run)
 
 
+@dataclass
+class _Batch:
+    """Candidates that went through instantiate, simulate and monitor together."""
+
+    params: np.ndarray  # (candidates, parameters)
+    signals: dict[str, np.ndarray]  # inputs and outputs, (candidates, samples)
+    monitored: MonitorBatch
+    dt: float
+
+    def evaluation(self, c: int) -> Evaluation:
+        run = self.monitored.run(c)
+        trace = Trace(dt=self.dt, samples={name: v[c] for name, v in self.signals.items()})
+        return Evaluation(fitness=run.fitness, trace=trace, run=run)
+
+
+def _evaluate_batch(model, automaton: MonitorAutomaton, pi: ParameterizedInput, params) -> _Batch:
+    signals = simulate_batch(model, pi.instantiate_batch(params), pi.dt)
+    return _Batch(params, signals, monitor_batch(automaton, signals, pi.times), pi.dt)
+
+
 def violated_requirements(run: MonitorRun) -> tuple[int, ...]:
     """Indexes of requirements whose degree hit the (negative) overall minimum."""
     if not (run.fitness < 0):
@@ -273,46 +314,62 @@ def falsify(
 
     history: list[float] = []
     best_fitness = INF
-    best_params: np.ndarray | None = None
+    best: tuple[_Batch, int] | None = None
 
-    def record(params: np.ndarray, fitness: float) -> None:
-        nonlocal best_fitness, best_params
-        history.append(fitness)
-        if best_params is None or fitness < best_fitness:
-            best_fitness = fitness
-            best_params = params
-
-    def objective(params: np.ndarray) -> float:
-        return evaluate(model, automaton, pi, params).fitness
+    def record(batch: _Batch, fitnesses: list[float]) -> None:
+        """Append the batch's first ``len(fitnesses)`` candidates; keep the first best."""
+        nonlocal best_fitness, best
+        history.extend(fitnesses)
+        j = fitnesses.index(min(fitnesses))  # min keeps the first of equal values
+        if best is None or fitnesses[j] < best_fitness:
+            best_fitness, best = fitnesses[j], (batch, j)
 
     if cfg.algorithm == UNIFORM_RANDOM:
-        for _ in range(cfg.budget):
-            params = rng.uniform(lows, highs)
-            record(params, objective(params))
-            if best_fitness < 0:
-                break
+        max_rows = max(1, BATCH_SAMPLES // pi.times.size)
+        rows = 1
+        while best_fitness >= 0 and len(history) < cfg.budget:
+            params = rng.uniform(lows, highs, size=(min(rows, max_rows, cfg.budget - len(history)), lows.size))
+            rows *= 2
+            try:
+                batches = [_evaluate_batch(model, automaton, pi, params)]
+            except Exception:
+                # one candidate at a time, so that the error, or a test case
+                # before it, surfaces where a sequential search meets it
+                batches = (_evaluate_batch(model, automaton, pi, p[None]) for p in params)
+            for batch in batches:
+                fitnesses = batch.monitored.fitness.tolist()
+                stop = next((j + 1 for j, f in enumerate(fitnesses) if f < 0), len(fitnesses))
+                record(batch, fitnesses[:stop])
+                if best_fitness < 0:
+                    break
     else:
+        last: _Batch | None = None
+
+        def objective(params: np.ndarray) -> float:
+            nonlocal last
+            last = _evaluate_batch(model, automaton, pi, params[None])
+            return float(last.monitored.fitness[0])
+
         current = rng.uniform(lows, highs)
         current_fitness = objective(current)
-        record(current, current_fitness)
+        record(last, [current_fitness])
         temperature = cfg.sa.initial_temperature
         while best_fitness >= 0 and len(history) < cfg.budget:
             proposal, proposal_fitness, accepted = sa_step(
                 objective, pi, current, current_fitness, temperature, cfg.sa.proposal_scale, rng
             )
-            record(proposal, proposal_fitness)
+            record(last, [proposal_fitness])
             if accepted:
                 current, current_fitness = proposal, proposal_fitness
             temperature *= cfg.sa.cooling
 
-    assert best_params is not None
-    # re-run the winning point to recover its trace and degree history;
-    # evaluation is pure, so this reproduces the recorded fitness exactly
-    best_eval = evaluate(model, automaton, pi, best_params)
+    assert best is not None
+    batch, j = best
+    best_eval = batch.evaluation(j)
     verdict = "TC" if best_fitness < 0 else "NFF"
     return FalsificationResult(
         verdict=verdict,
-        best_params=best_params,
+        best_params=batch.params[j].copy(),
         best_fitness=best_fitness,
         iterations=len(history),
         violated=violated_requirements(best_eval.run),

@@ -2,8 +2,9 @@
 
 A Trace is a uniformly sampled multi-signal time series. Models implement a
 tiny step interface so the falsification loop can drive anything that maps
-input samples to output samples deterministically; two built-ins ship with
-the package, addressable by preset name from the CLI:
+input samples to output samples deterministically, and may add a batched
+method that runs many input traces at once; two built-ins ship with the
+package, addressable by preset name from the CLI:
 
 * ``omm-v0`` .. ``omm-v3``: a memoryless two-input/two-output gain model
   with optional cross gains between the channels and saturated outputs.
@@ -82,9 +83,6 @@ class Trace:
     def signals(self) -> tuple[str, ...]:
         return tuple(self.samples)
 
-    def values_at(self, k: int) -> dict[str, float]:
-        return {name: float(arr[k]) for name, arr in self.samples.items()}
-
 
 def n_samples_for(horizon: float, dt: float) -> int:
     """Sample count covering [0, horizon] at step dt; a zero horizon is one sample."""
@@ -99,6 +97,9 @@ class SystemModel(ABC):
     ``reset`` returns a fresh internal state (identical every call, so runs
     are reproducible); ``step`` maps the state and one input sample to the
     output sample for the same instant and advances the state in place.
+    ``run_batch`` simulates many input traces at once; its default drives
+    ``reset``/``step``, and a model may override it with array code that
+    gives the same floats.
     """
 
     inputs: tuple[str, ...] = ()
@@ -109,6 +110,22 @@ class SystemModel(ABC):
 
     @abstractmethod
     def step(self, state: Any, inputs: Mapping[str, float], dt: float) -> dict[str, float]: ...
+
+    def run_batch(self, inputs: Mapping[str, np.ndarray], dt: float) -> dict[str, np.ndarray]:
+        """Outputs for a batch of input traces, as arrays of shape (traces, samples).
+
+        ``inputs`` holds arrays of that shape; each trace starts from ``reset()``.
+        """
+        rows = {name: values.tolist() for name, values in inputs.items()}
+        n_traces, n = next(iter(inputs.values())).shape
+        outputs = {name: np.empty((n_traces, n)) for name in self.outputs}
+        for c in range(n_traces):
+            state = self.reset()
+            for k in range(n):
+                produced = self.step(state, {name: row[c][k] for name, row in rows.items()}, dt)
+                for name in self.outputs:
+                    outputs[name][c, k] = produced[name]
+        return outputs
 
 
 class GainCrossModel(SystemModel):
@@ -142,12 +159,21 @@ class GainCrossModel(SystemModel):
         return None
 
     def step(self, state: None, inputs: Mapping[str, float], dt: float) -> dict[str, float]:
-        lo, hi = self.clamp
+        batch = {name: np.array([[inputs[name]]]) for name in self.inputs}
+        return {name: float(values[0, 0]) for name, values in self.run_batch(batch, dt).items()}
+
+    def run_batch(self, inputs: Mapping[str, np.ndarray], dt: float) -> dict[str, np.ndarray]:
         u1, u2 = inputs["u1"], inputs["u2"]
         return {
-            "y1": min(max(self.g11 * u1 + self.g21 * u2, lo), hi),
-            "y2": min(max(self.g22 * u2 + self.g12 * u1, lo), hi),
+            "y1": _clamp(self.g11 * u1 + self.g21 * u2, *self.clamp),
+            "y2": _clamp(self.g22 * u2 + self.g12 * u1, *self.clamp),
         }
+
+
+def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``min(max(x, lo), hi)`` elementwise, down to the sign of a zero and NaN."""
+    x = np.where(lo > x, lo, x)
+    return np.where(hi < x, hi, x)
 
 
 class PlantDemoModel(SystemModel):
@@ -189,19 +215,31 @@ class PlantDemoModel(SystemModel):
         return [self.initial_pressure, cooling_eq / self.ki]
 
     def step(self, state: list[float], inputs: Mapping[str, float], dt: float) -> dict[str, float]:
+        temperatures, pressures = self._integrate(state, [inputs["F_s"]], dt)
+        return {"T_s": temperatures[0], "P_s": pressures[0]}
+
+    def run_batch(self, inputs: Mapping[str, np.ndarray], dt: float) -> dict[str, np.ndarray]:
+        # a loop over plain floats: per-sample numpy calls would cost more than the arithmetic
+        runs = [self._integrate(self.reset(), flows, dt) for flows in inputs["F_s"].tolist()]
+        return {"T_s": np.array([r[0] for r in runs]), "P_s": np.array([r[1] for r in runs])}
+
+    def _integrate(
+        self, state: list[float], flows: list[float], dt: float
+    ) -> tuple[list[float], list[float]]:
+        """Step through ``flows``, advancing ``state`` in place; returns the T_s and P_s samples."""
         pressure, integral = state
-        flow = inputs["F_s"]
-        outputs = {
-            "T_s": 35.0 + 0.5 * pressure + 0.2 * flow,
-            "P_s": pressure,
-        }
-        error = pressure - self.setpoint  # cooling ramps up when pressure is high
-        integral = min(max(integral + error * dt, -self.integrator_limit), self.integrator_limit)
-        cooling = self.kp * error + self.ki * integral
-        dp = (2.0 * flow - 0.8 * cooling - 0.05 * (pressure - 80.0)) / self.time_constant
-        state[0] = pressure + dt * dp
-        state[1] = integral
-        return outputs
+        setpoint, limit, kp, ki = self.setpoint, self.integrator_limit, self.kp, self.ki
+        temperatures, pressures = [], []
+        for flow in flows:
+            temperatures.append(35.0 + 0.5 * pressure + 0.2 * flow)
+            pressures.append(pressure)
+            error = pressure - setpoint  # cooling ramps up when pressure is high
+            integral = min(max(integral + error * dt, -limit), limit)
+            cooling = kp * error + ki * integral
+            dp = (2.0 * flow - 0.8 * cooling - 0.05 * (pressure - 80.0)) / self.time_constant
+            pressure = pressure + dt * dp
+        state[0], state[1] = pressure, integral
+        return temperatures, pressures
 
 
 def simulate(model: SystemModel, inputs: Trace) -> Trace:
@@ -210,25 +248,33 @@ def simulate(model: SystemModel, inputs: Trace) -> Trace:
     Raises SignalMismatchError when the trace lacks a declared model input
     and NonFiniteOutputError when the model emits NaN or infinity.
     """
-    missing = [s for s in model.inputs if s not in inputs.samples]
+    batch = {name: values[None] for name, values in inputs.samples.items()}
+    merged = simulate_batch(model, batch, inputs.dt)
+    return Trace(dt=inputs.dt, samples={name: values[0] for name, values in merged.items()})
+
+
+def simulate_batch(
+    model: SystemModel, inputs: Mapping[str, np.ndarray], dt: float
+) -> dict[str, np.ndarray]:
+    """``simulate`` for a batch of input traces, arrays of shape (traces, samples).
+
+    A non-finite output is reported at its earliest step, outputs in
+    declared order.
+    """
+    missing = [s for s in model.inputs if s not in inputs]
     if missing:
         raise SignalMismatchError(f"input trace is missing signals: {', '.join(missing)}")
-    n = inputs.n_samples
-    out_arrays = {name: np.empty(n) for name in model.outputs}
-    state = model.reset()
-    for k in range(n):
-        row = inputs.values_at(k)
-        produced = model.step(state, row, inputs.dt)
-        for name in model.outputs:
-            value = produced[name]
-            if not math.isfinite(value):
-                raise NonFiniteOutputError(
-                    f"model output '{name}' is {value!r} at t={k * inputs.dt}"
-                )
-            out_arrays[name][k] = value
-    merged = dict(inputs.samples)
-    merged.update(out_arrays)
-    return Trace(dt=inputs.dt, samples=merged)
+    produced = model.run_batch(inputs, dt)
+    bad = {name: ~np.isfinite(produced[name]) for name in model.outputs}
+    first = [(int(np.argmax(b.any(axis=0))), j) for j, b in enumerate(bad.values()) if b.any()]
+    if first:
+        k, j = min(first)
+        name = model.outputs[j]
+        value = float(produced[name][np.argmax(bad[name][:, k]), k])
+        raise NonFiniteOutputError(f"model output '{name}' is {value!r} at t={k * dt}")
+    merged = dict(inputs)
+    merged.update((name, produced[name]) for name in model.outputs)
+    return merged
 
 
 # --- CSV interchange --------------------------------------------------------
@@ -279,8 +325,12 @@ def read_trace_csv(path: str) -> Trace:
     times = data[:, 0]
     steps = np.diff(times)
     dt = float(steps[0])
-    if dt <= 0 or not np.allclose(steps, dt, rtol=0, atol=1e-9 * max(dt, 1.0)):
+    tolerance = 1e-9 * max(abs(dt), 1.0)
+    if dt <= 0 or not np.allclose(steps, dt, rtol=0, atol=tolerance):
         raise TraceFormatError(f"{path}: time column is not uniformly spaced")
+    # the monitor rebuilds times as k * dt, so a shifted column would move every t guard
+    if abs(times[0]) > tolerance:
+        raise TraceFormatError(f"{path}: time column must start at 0, not {float(times[0])!r}")
     return Trace(dt=dt, samples={name: data[:, j + 1] for j, name in enumerate(names)})
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -43,11 +44,14 @@ from .expr import (
     Rel,
     SignalRef,
     TimeVar,
+    depth,
     prev_names,
     signal_names,
 )
 
 RESERVED_NAMES = frozenset({"t", "prev"})
+# bounds both the parser's and the evaluators' recursion, far below Python's limit
+MAX_NESTING = 100
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
 
@@ -135,7 +139,9 @@ class _ExprParser:
 
     Parenthesised sub-expressions are tried as boolean groups first and
     reparsed as arithmetic groups on failure, so ``(a > b) & c > d`` and
-    ``(a + b) > c`` both work without a separate grammar level.
+    ``(a + b) > c`` both work without a separate grammar level. Groups,
+    ``~`` and unary minus may nest at most MAX_NESTING deep, and so may the
+    finished tree.
     """
 
     def __init__(self, text: str, line: int, column_offset: int = 1):
@@ -155,7 +161,28 @@ class _ExprParser:
             self.tokens.append(_Token(kind, m.group(), column_offset + pos))
             pos = m.end()
         self.end_column = column_offset + len(text)
+        self.column_offset = column_offset
         self.pos = 0
+        self.nesting = 0
+
+    @contextmanager
+    def _nested(self, tok: _Token):
+        self.nesting += 1
+        try:
+            if self.nesting > MAX_NESTING:
+                raise TableSyntaxError(
+                    f"expression nested deeper than {MAX_NESTING} levels", self.line, tok.column
+                )
+            yield
+        finally:
+            self.nesting -= 1
+
+    def _shallow(self, e):
+        if depth(e) > MAX_NESTING:
+            raise TableSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels", self.line, self.column_offset
+            )
+        return e
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -184,12 +211,12 @@ class _ExprParser:
     def parse_bool(self) -> BoolExpr:
         e = self._or()
         self._done()
-        return e
+        return self._shallow(e)
 
     def parse_arith(self) -> ArithExpr:
         e = self._arith()
         self._done()
-        return e
+        return self._shallow(e)
 
     def _or(self) -> BoolExpr:
         e = self._and()
@@ -207,14 +234,14 @@ class _ExprParser:
 
     def _not(self) -> BoolExpr:
         if self._at_op("~"):
-            self._next()
-            return Not(self._not())
+            with self._nested(self._next()):
+                return Not(self._not())
         if self._at_op("("):
             saved = self.pos
-            self._next()
             try:
-                e = self._or()
-                self._expect(")")
+                with self._nested(self._next()):
+                    e = self._or()
+                    self._expect(")")
                 return e
             except TableSyntaxError:
                 self.pos = saved  # reparse as a parenthesised arithmetic operand
@@ -245,13 +272,13 @@ class _ExprParser:
 
     def _factor(self) -> ArithExpr:
         if self._at_op("("):
-            self._next()
-            e = self._arith()
-            self._expect(")")
+            with self._nested(self._next()):
+                e = self._arith()
+                self._expect(")")
             return e
         if self._at_op("-"):
-            self._next()
-            operand = self._factor()
+            with self._nested(self._next()):
+                operand = self._factor()
             if isinstance(operand, Const):
                 return Const(-operand.value)
             return BinaryArith("-", Const(0.0), operand)

@@ -111,9 +111,11 @@ _INPUTS = ("a", "b")
 _OUTPUT = "w"
 _REL_MAIN = (">", "<", ">=", "<=")
 _REL_EXACT = ("==", "!=")
+_ARITH = ("+", "-", "*")
 
 
-def _rand_arith(rng: np.random.Generator, reads: tuple[str, ...], prevs: tuple[str, ...], depth: int):
+def _rand_arith(rng: np.random.Generator, reads: tuple[str, ...], prevs: tuple[str, ...], depth: int,
+                ops: tuple[str, ...] = _ARITH):
     roll = rng.random()
     if depth <= 0 or roll < 0.55:
         kind = rng.random()
@@ -124,28 +126,39 @@ def _rand_arith(rng: np.random.Generator, reads: tuple[str, ...], prevs: tuple[s
         if kind < 0.9:
             return PrevRef(str(rng.choice(prevs)))
         return TimeVar()
-    op = str(rng.choice(("+", "-", "*")))
-    return BinaryArith(op, _rand_arith(rng, reads, prevs, depth - 1), _rand_arith(rng, reads, prevs, depth - 1))
+    op = str(rng.choice(ops))
+    return BinaryArith(op, _rand_arith(rng, reads, prevs, depth - 1, ops),
+                       _rand_arith(rng, reads, prevs, depth - 1, ops))
 
 
-def _rand_rel(rng, reads, prevs) -> Rel:
-    ops = _REL_EXACT if rng.random() < 0.05 else _REL_MAIN
-    lhs = _rand_arith(rng, reads, prevs, 1)
-    rhs = _rand_arith(rng, reads, prevs, 1)
+def _rand_rel(rng, reads, prevs, ops=_ARITH) -> Rel:
+    rel_ops = _REL_EXACT if rng.random() < 0.05 else _REL_MAIN
+    lhs = _rand_arith(rng, reads, prevs, 1, ops)
+    rhs = _rand_arith(rng, reads, prevs, 1, ops)
     if rhs == lhs:
         rhs = Const(float(rng.uniform(-5.0, 5.0)))
-    return Rel(str(rng.choice(ops)), lhs, rhs)
+    return Rel(str(rng.choice(rel_ops)), lhs, rhs)
 
 
-def _rand_bool(rng, reads, prevs, depth: int) -> BoolExpr:
+def _rand_bool(rng, reads, prevs, depth: int, ops=_ARITH) -> BoolExpr:
     if depth <= 0 or rng.random() < 0.45:
-        return _rand_rel(rng, reads, prevs)
+        return _rand_rel(rng, reads, prevs, ops)
     roll = rng.random()
     if roll < 0.4:
-        return And(_rand_bool(rng, reads, prevs, depth - 1), _rand_bool(rng, reads, prevs, depth - 1))
+        return And(_rand_bool(rng, reads, prevs, depth - 1, ops), _rand_bool(rng, reads, prevs, depth - 1, ops))
     if roll < 0.8:
-        return Or(_rand_bool(rng, reads, prevs, depth - 1), _rand_bool(rng, reads, prevs, depth - 1))
-    return Not(_rand_bool(rng, reads, prevs, depth - 1))
+        return Or(_rand_bool(rng, reads, prevs, depth - 1, ops), _rand_bool(rng, reads, prevs, depth - 1, ops))
+    return Not(_rand_bool(rng, reads, prevs, depth - 1, ops))
+
+
+def random_bool_expr(rng: np.random.Generator, depth: int = 3, ops: tuple[str, ...] = _ARITH) -> BoolExpr:
+    """A random boolean expression over signals a, b, prev(a), prev(b) and t."""
+    return _rand_bool(rng, _INPUTS, _INPUTS, depth, ops)
+
+
+def random_arith_expr(rng: np.random.Generator, depth: int = 3, ops: tuple[str, ...] = _ARITH):
+    """A random arithmetic expression over signals a, b, prev(a), prev(b) and t."""
+    return _rand_arith(rng, _INPUTS, _INPUTS, depth, ops)
 
 
 def random_table(rng: np.random.Generator, dt: float = 0.5) -> RequirementsTable:

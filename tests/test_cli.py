@@ -64,6 +64,30 @@ def test_check_invalid_utf8_is_syntax_error(tmp_path):
     assert run_cli("check", str(path)) == 2
 
 
+def test_check_deeply_nested_table_is_syntax_error(tmp_path, capsys):
+    path = tmp_path / "deep.rt"
+    path.write_text("table T\ninputs x\nreq 1\n  post " + "(" * 400 + "x > 0" + ")" * 400 + "\n")
+    assert run_cli("check", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("syntax error: line 4") and err.count("\n") == 1
+
+
+def test_monitor_nan_degree_is_runtime_error(tmp_path, capsys):
+    table_path = tmp_path / "nan.rt"
+    table_path.write_text("table T\ninputs x\nreq 1\n  post x * 1e308 * 10 - x * 1e308 * 10 > 0\n")
+    trace_path = tmp_path / "trace.csv"
+    write_trace_csv(Trace(dt=1.0, samples={"x": np.ones(3)}), str(trace_path))
+    assert run_cli("monitor", str(table_path), str(trace_path), "--out", str(tmp_path)) == 3
+    assert "requirement 1" in capsys.readouterr().err
+
+
+def test_monitor_shifted_trace_is_runtime_error(tmp_path, sc_path, capsys):
+    trace_path = tmp_path / "shifted.csv"
+    trace_path.write_text("t,F_s,T_s,P_s\n5.0,4.0,80.0,87.25\n5.5,4.0,80.0,87.25\n")
+    assert run_cli("monitor", sc_path, str(trace_path), "--out", str(tmp_path)) == 3
+    assert "start at 0" in capsys.readouterr().err
+
+
 def test_monitor_reports_violation(tmp_path, sc_path, capsys):
     n = 40
     p_s = np.full(n, 87.25)

@@ -1,11 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import random_arith_expr, random_bool_expr
 from rtfalsify.expr import (
     And,
+    ArrayEnv,
     BinaryArith,
     Const,
     DivisionByZeroError,
@@ -17,9 +20,12 @@ from rtfalsify.expr import (
     SignalRef,
     TimeVar,
     UnboundNameError,
+    arith_array,
     degree,
+    degree_array,
     eval_arith,
     eval_bool,
+    holds_array,
     prev_names,
     signal_names,
 )
@@ -185,3 +191,88 @@ def test_less_than_equals_negated_geq(lhs, rhs, env):
     direct = degree(Rel("<", lhs, rhs), env)
     rewritten = degree(Not(Rel(">=", lhs, rhs)), env)
     assert direct == rewritten or (math.isnan(direct) and math.isnan(rewritten))
+
+
+# --- array evaluation against the scalar reference ----------------------------
+
+# exact zeros of both signs and repeated values make ties, equal operands and
+# zero divisors common; the random floats keep the rest generic
+_POOL = (0.0, -0.0, 1.0, -1.0, 2.5, -3.0)
+
+
+def _batch_values(rng, shape):
+    values = rng.uniform(-5.0, 5.0, size=shape)
+    pick = rng.random(shape) < 0.6
+    values[pick] = rng.choice(_POOL, size=int(pick.sum()))
+    return values
+
+
+def _scalar(fn, e, arrays, t):
+    """``fn`` at every sample, and where it raised DivisionByZeroError."""
+    shape = arrays["a"].shape
+    values, raised = np.zeros(shape, dtype=object), np.zeros(shape, dtype=bool)
+    for c, k in np.ndindex(shape):
+        env = Env(
+            signals={"a": float(arrays["a"][c, k]), "b": float(arrays["b"][c, k])},
+            prev={"a": float(arrays["pa"][c, k]), "b": float(arrays["pb"][c, k])},
+            t=float(t[k]),
+        )
+        try:
+            values[c, k] = fn(e, env)
+        except DivisionByZeroError:
+            raised[c, k] = True
+    return values, raised
+
+
+def _same_floats(array, reference, where):
+    bits = np.ascontiguousarray(array, dtype=float).view(np.uint64)
+    expected = np.array(reference.tolist(), dtype=float).view(np.uint64)
+    return np.array_equal(bits[where], expected[where])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_array_evaluation_matches_scalar_reference(seed):
+    # bit-for-bit equality, and a zero divisor flagged exactly where the scalar
+    # evaluator divides by zero: & and | short-circuit in eval_bool only
+    rng = np.random.default_rng(seed)
+    ops = ("+", "-", "*", "/")
+    boolean = random_bool_expr(rng, ops=ops)
+    arithmetic = random_arith_expr(rng, ops=ops)
+    shape = (3, 7)
+    arrays = {name: _batch_values(rng, shape) for name in ("a", "b", "pa", "pb")}
+    t = np.arange(shape[1]) * 0.5
+
+    def run(fn, e):
+        env = ArrayEnv(
+            signals={"a": arrays["a"], "b": arrays["b"]},
+            prev={"a": arrays["pa"], "b": arrays["pb"]},
+            t=t[None, :],
+        )
+        with np.errstate(all="ignore"):
+            value = np.broadcast_to(fn(e, env), shape)
+        return value, np.broadcast_to(env.zero_division, shape)
+
+    for scalar_fn, array_fn, e in (
+        (degree, degree_array, boolean),
+        (eval_arith, arith_array, arithmetic),
+    ):
+        reference, raised = _scalar(scalar_fn, e, arrays, t)
+        value, flagged = run(array_fn, e)
+        assert np.array_equal(flagged, raised)
+        assert _same_floats(value, reference, ~raised)
+
+    reference, raised = _scalar(eval_bool, boolean, arrays, t)
+    value, flagged = run(holds_array, boolean)
+    assert np.array_equal(flagged, raised)
+    assert np.array_equal(value[~raised], reference[~raised].astype(bool))
+
+
+def test_array_degree_makes_nan_operands_nan():
+    # min(1.0, nan) is 1.0 but min(nan, 1.0) is nan; the array degree is nan either way
+    nan_atom = Rel(">", BinaryArith("-", SignalRef("x"), SignalRef("x")), Const(0.0))
+    one = Rel(">", Const(1.0), Const(0.0))
+    env = ArrayEnv(signals={"x": np.array([np.inf])}, prev={}, t=0.0)
+    with np.errstate(all="ignore"):
+        for e in (And(one, nan_atom), And(nan_atom, one), Or(one, nan_atom), Or(nan_atom, one)):
+            assert np.isnan(degree_array(e, env)).all()

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from rtfalsify.expr import DivisionByZeroError
 from rtfalsify.monitor import (
     ConflictingActionError,
     MissingActionError,
-    Phase,
+    MonitorError,
+    UndefinedDegreeError,
     compile_table,
-    monitor_init,
-    monitor_step,
     run_monitor,
     write_degree_csv,
 )
@@ -17,10 +17,6 @@ from rtfalsify.sim import SignalMismatchError, Trace
 from rtfalsify.table import RequirementsTable, parse_table
 
 INF = math.inf
-
-
-def sc_signals(f_s=5.0, t_s=80.0, p_s=87.25):
-    return {"F_s": f_s, "T_s": t_s, "P_s": p_s}
 
 
 def constant_sc_trace(n=8, dt=1.0, f_s=5.0, t_s=80.0, p_s=87.25):
@@ -54,78 +50,74 @@ def test_compile_unconditioned_requirement_has_true_guard():
     assert automaton.requirements[0].guard is None
 
 
-# --- init ---------------------------------------------------------------------
+# --- phases -------------------------------------------------------------------
+# A phase shows in the degrees: a requirement with a postcondition emits a
+# finite degree exactly on its POA steps, +inf in PRC and WT.
+
+
+def sc_trace(f_s, dt=1.0):
+    n = len(f_s)
+    return Trace(
+        dt=dt,
+        samples={"F_s": np.array(f_s, dtype=float), "T_s": np.full(n, 80.0), "P_s": np.full(n, 87.25)},
+    )
+
+
+def active_steps(run, j):
+    return [k for k, row in enumerate(run.degrees) if row[j] != INF]
 
 
 def test_init_phases_on_sc(sc_table):
-    automaton = compile_table(sc_table)
-    state = monitor_init(automaton, sc_signals(f_s=5.0), t0=0.0)
-    assert state.phases == [Phase.POA, Phase.PRC, Phase.WT]
+    run = run_monitor(compile_table(sc_table), sc_trace([5.0] * 7))
+    # req 1 (no guard) is active at once, req 2 waits for t = 30, req 3 enters
+    # WT at step 0 and reaches POA when its 5 s have elapsed
+    assert run.degrees[0][1:] == [INF, INF]
+    assert active_steps(run, 0) == list(range(7))
+    assert active_steps(run, 2) == [5, 6]
 
 
 def test_init_guard_false_stays_prc(sc_table):
-    automaton = compile_table(sc_table)
-    state = monitor_init(automaton, sc_signals(f_s=0.0), t0=0.0)
-    assert state.phases[2] == Phase.PRC
+    run = run_monitor(compile_table(sc_table), sc_trace([0.0] + [5.0] * 7))
+    assert active_steps(run, 2) == [6, 7]  # the timer starts at step 1, not 0
 
 
 def test_init_time_guard_enters_poa_immediately():
     automaton = simple_table(
         "table T\ninputs x\nreq 1\n  pre t >= 0\n  post x > 0\n"
     )
-    state = monitor_init(automaton, {"x": 1.0}, t0=0.0)
-    assert state.phases == [Phase.POA]
-    assert state.step_degrees == [1.0]
+    run = run_monitor(automaton, Trace(dt=1.0, samples={"x": np.array([1.0])}))
+    assert run.degrees == [[1.0]]
 
 
 def test_init_executes_actions(sc_table):
-    automaton = compile_table(sc_table)
-    state = monitor_init(automaton, sc_signals(f_s=5.0), t0=0.0)
-    # prev buffer holds the declared init of F_s = 4.0 at step 0
-    assert state.action_outputs == {"F_diff": 1.0}
-
-
-# --- step ---------------------------------------------------------------------
+    run = run_monitor(compile_table(sc_table), sc_trace([5.0]))
+    # prev(F_s) reads the declared init of F_s = 4.0 at step 0
+    assert run.outputs == {"F_diff": [1.0]}
 
 
 def test_window_guard_fires_at_thirty(sc_table):
-    automaton = compile_table(sc_table)
-    state = monitor_init(automaton, sc_signals(f_s=0.0), t0=29.9)
-    assert state.phases[1] == Phase.PRC
-    _, degrees, _ = monitor_step(state, sc_signals(f_s=0.0), t=30.0)
-    assert state.phases[1] == Phase.POA
-    assert degrees[1] == 0.25
+    run = run_monitor(compile_table(sc_table), sc_trace([0.0] * 62, dt=0.5))
+    assert run.degrees[59][1] == INF  # t = 29.5
+    assert run.degrees[60][1] == 0.25  # t = 30.0
 
 
 def test_waiting_phase_elapses_into_poa(sc_table):
-    automaton = compile_table(sc_table)
-    state = monitor_init(automaton, sc_signals(f_s=5.0), t0=0.0)
-    for t in (1.0, 2.0, 3.0, 4.0):
-        monitor_step(state, sc_signals(f_s=5.0), t)
-        assert state.phases[2] == Phase.WT
-    monitor_step(state, sc_signals(f_s=5.0), 5.0)  # et reaches the duration
-    assert state.phases[2] == Phase.POA
+    run = run_monitor(compile_table(sc_table), sc_trace([5.0] * 6))
+    assert [row[2] == INF for row in run.degrees] == [True] * 5 + [False]
 
 
 def test_waiting_phase_aborts_to_prc_on_guard_drop(sc_table):
-    automaton = compile_table(sc_table)
-    state = monitor_init(automaton, sc_signals(f_s=5.0), t0=0.0)
-    monitor_step(state, sc_signals(f_s=5.0), 1.0)
-    _, degrees, _ = monitor_step(state, sc_signals(f_s=0.0), 2.0)
-    assert state.phases[2] == Phase.PRC
-    assert degrees[2] == INF
+    run = run_monitor(compile_table(sc_table), sc_trace([5.0, 5.0, 0.0] + [5.0] * 6))
+    assert run.degrees[2][2] == INF
+    assert active_steps(run, 2) == [8]  # the timer restarted at step 3
 
 
 def test_poa_returns_to_prc_when_guard_drops():
     automaton = simple_table(
         "table T\ninputs x\nreq 1\n  pre x > 0\n  post x < 10\n"
     )
-    state = monitor_init(automaton, {"x": 1.0})
-    assert state.phases == [Phase.POA]
-    monitor_step(state, {"x": -1.0}, 1.0)
-    assert state.phases == [Phase.PRC]
-    monitor_step(state, {"x": 2.0}, 2.0)
-    assert state.phases == [Phase.POA]
+    run = run_monitor(automaton, Trace(dt=1.0, samples={"x": np.array([1.0, -1.0, 2.0])}))
+    assert run.degrees == [[9.0], [INF], [8.0]]
 
 
 def test_one_transition_per_step_for_positive_duration():
@@ -133,11 +125,8 @@ def test_one_transition_per_step_for_positive_duration():
     automaton = simple_table(
         "table T\ninputs x\nreq 1\n  pre x > 0\n  dur 1\n  post x > 5\n"
     )
-    state = monitor_init(automaton, {"x": -1.0})
-    monitor_step(state, {"x": 7.0}, 1.0)
-    assert state.phases == [Phase.WT]
-    monitor_step(state, {"x": 7.0}, 2.0)
-    assert state.phases == [Phase.POA]
+    run = run_monitor(automaton, Trace(dt=1.0, samples={"x": np.array([-1.0, 7.0, 7.0])}))
+    assert run.degrees == [[INF], [INF], [2.0]]
 
 
 def test_zero_duration_behaves_like_no_duration():
@@ -153,11 +142,10 @@ def test_zero_duration_behaves_like_no_duration():
 
 def test_phase_exclusivity_and_no_wt_without_duration():
     automaton = simple_table("table T\ninputs x\nreq 1\n  pre x > 0\n  post x > 1\n")
-    rng = np.random.default_rng(5)
-    state = monitor_init(automaton, {"x": float(rng.uniform(-2, 2))})
-    for k in range(1, 50):
-        monitor_step(state, {"x": float(rng.uniform(-2, 2))}, float(k))
-        assert state.phases[0] in (Phase.PRC, Phase.POA)
+    x = np.random.default_rng(5).uniform(-2, 2, size=50)
+    run = run_monitor(automaton, Trace(dt=1.0, samples={"x": x}))
+    # without a duration the machine is in POA exactly when the guard holds
+    assert [row[0] != INF for row in run.degrees] == list(x > 0)
 
 
 # --- actions ------------------------------------------------------------------
@@ -293,6 +281,23 @@ def test_requirement_order_does_not_change_fitness():
     assert run_monitor(compile_table(a), trace).fitness == run_monitor(compile_table(b), trace).fitness
 
 
+@pytest.mark.parametrize(
+    "post",
+    [
+        "x * 1e308 * 10 - x * 1e308 * 10 > 0",
+        "x > 5 & x * 1e308 * 10 - x * 1e308 * 10 > 0",
+        "x * 1e308 * 10 - x * 1e308 * 10 > 0 | x > 5",
+    ],
+    ids=["atom", "and-rhs", "or-lhs"],
+)
+def test_nan_degree_is_an_error(post):
+    # inf - inf is NaN; whatever the operand order of & and |, it must not pass as a degree
+    automaton = simple_table(f"table T\ninputs x\nreq 1\n  pre x > 0\n  post {post}\n")
+    trace = Trace(dt=0.5, samples={"x": np.array([-1.0, -1.0, 1.0])})
+    with pytest.raises(MonitorError, match=r"requirement 1 .*t=1\.0"):
+        run_monitor(automaton, trace)
+
+
 def test_missing_trace_column_is_rejected(sc_table):
     automaton = compile_table(sc_table)
     trace = Trace(dt=1.0, samples={"F_s": np.zeros(3)})
@@ -311,3 +316,43 @@ def test_degree_csv_layout(tmp_path, sc_table):
     first = lines[1].split(",")
     assert first[0] == "0.0"
     assert first[2] == "inf"
+
+
+# --- which error a run stops with -------------------------------------------------
+
+NAN_POST = "x * 1e308 * 10 - x * 1e308 * 10 > 0"  # inf - inf for any x != 0
+
+
+@pytest.mark.parametrize(
+    "rows, x, error, t",
+    [
+        # an earlier step wins over a later one
+        ("req 1\n  pre x > 0\n  action y = 1\nreq 2\n  post 1 / (x - 2) > 0\n",
+         [1.0, -1.0, 2.0], MissingActionError, 1.0),
+        ("req 1\n  pre 1 / x > 0\n  post x > 0\nreq 2\n  post " + NAN_POST + "\n  action y = 0\n",
+         [1.0, 0.0], UndefinedDegreeError, 0.0),
+        # within a step: guards, actions, missing outputs, postconditions
+        ("req 1\n  pre 1 / x > 0\n  post x > 0\nreq 2\n  post " + NAN_POST + "\n  action y = 0\n",
+         [0.0, 1.0], DivisionByZeroError, None),
+        ("req 1\n  post x > 0\n  action y = x\nreq 2\n  pre x > 0\n  post x > 0\n  action y = x + 1\n",
+         [1.0], ConflictingActionError, 0.0),
+        ("req 1\n  pre x > 0\n  action y = x\nreq 2\n  post " + NAN_POST + "\n",
+         [-1.0], MissingActionError, 0.0),
+        # within a stage, requirement order
+        ("req 1\n  post " + NAN_POST + "\n  action y = 0\nreq 2\n  post 1 / (x - x) > 0\n",
+         [1.0], UndefinedDegreeError, 0.0),
+        ("req 1\n  post 1 / (x - x) > 0\n  action y = 0\nreq 2\n  post " + NAN_POST + "\n",
+         [1.0], DivisionByZeroError, None),
+    ],
+)
+def test_first_error_of_the_run_wins(rows, x, error, t):
+    automaton = simple_table("table T\ninputs x\noutputs y\ninit y = 0\n" + rows)
+    with pytest.raises(error) as raised:
+        run_monitor(automaton, Trace(dt=1.0, samples={"x": np.array(x)}))
+    assert getattr(raised.value, "t", None) == t
+
+
+def test_short_circuit_guards_do_not_divide():
+    automaton = simple_table("table T\ninputs x\nreq 1\n  pre x > 0 & 1 / x > 0\n  post x < 5\n")
+    run = run_monitor(automaton, Trace(dt=1.0, samples={"x": np.array([0.0, 2.0])}))
+    assert run.degrees == [[INF], [3.0]]

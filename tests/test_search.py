@@ -15,12 +15,11 @@ from rtfalsify.search import (
     acceptance_probability,
     evaluate,
     falsify,
-    instantiate,
     sa_step,
     violated_requirements,
 )
-from rtfalsify.sim import make_model
-from rtfalsify.table import RequirementsTable
+from rtfalsify.sim import NonFiniteOutputError, SystemModel, make_model
+from rtfalsify.table import RequirementsTable, parse_table
 
 INF = math.inf
 
@@ -35,7 +34,7 @@ def single_signal_pi(horizon=30.0, dt=1.0, k=1):
 
 
 def test_piecewise_constant_two_levels():
-    trace = instantiate(single_signal_pi(), [2.0, 5.0, 10.0])
+    trace = single_signal_pi().instantiate([2.0, 5.0, 10.0])
     times = trace.times
     values = trace.samples["u"]
     assert np.all(values[times < 10.0] == 2.0)
@@ -43,19 +42,19 @@ def test_piecewise_constant_two_levels():
 
 
 def test_equal_levels_make_a_constant_trace():
-    trace = instantiate(single_signal_pi(), [3.0, 3.0, 17.0])
+    trace = single_signal_pi().instantiate([3.0, 3.0, 17.0])
     assert np.all(trace.samples["u"] == 3.0)
 
 
 def test_switch_at_zero_degenerates_to_second_level():
-    trace = instantiate(single_signal_pi(), [2.0, 5.0, 0.0])
+    trace = single_signal_pi().instantiate([2.0, 5.0, 0.0])
     assert np.all(trace.samples["u"] == 5.0)
 
 
 def test_switch_times_are_sorted_before_use():
     pi = single_signal_pi(k=2)
-    a = instantiate(pi, [1.0, 2.0, 3.0, 10.0, 20.0])
-    b = instantiate(pi, [1.0, 2.0, 3.0, 20.0, 10.0])
+    a = pi.instantiate([1.0, 2.0, 3.0, 10.0, 20.0])
+    b = pi.instantiate([1.0, 2.0, 3.0, 20.0, 10.0])
     assert np.array_equal(a.samples["u"], b.samples["u"])
 
 
@@ -83,13 +82,13 @@ def test_parameter_layout():
 def test_arity_and_bounds_errors():
     pi = single_signal_pi()
     with pytest.raises(ArityMismatchError):
-        instantiate(pi, [1.0, 2.0])
+        pi.instantiate([1.0, 2.0])
     with pytest.raises(OutOfBoundsError):
-        instantiate(pi, [1.0, 99.0, 10.0])
+        pi.instantiate([1.0, 99.0, 10.0])
 
 
 def test_full_horizon_is_covered():
-    trace = instantiate(single_signal_pi(horizon=30.0, dt=1.0), [1.0, 2.0, 29.5])
+    trace = single_signal_pi(horizon=30.0, dt=1.0).instantiate([1.0, 2.0, 29.5])
     assert trace.n_samples == 31
     assert trace.horizon == 30.0
 
@@ -239,6 +238,55 @@ def test_config_validation():
         SAConfig(cooling=1.0)
     with pytest.raises(ValueError):
         SAConfig(proposal_scale=0.0)
+
+
+class ThresholdModel(SystemModel):
+    """y = u, but a NaN output (a NonFiniteOutputError) once u exceeds the threshold."""
+
+    inputs = ("u",)
+    outputs = ("y",)
+
+    def __init__(self, threshold):
+        self.threshold = threshold
+
+    def reset(self):
+        return None
+
+    def step(self, state, inputs, dt):
+        u = inputs["u"]
+        return {"y": u if u <= self.threshold else math.nan}
+
+
+def sequential_outcome(model, automaton, pi, seed, budget):
+    """What a one-candidate-at-a-time search meets first: ("TC", iteration) or the error."""
+    rng = np.random.default_rng(seed)
+    lows, highs = pi.bounds
+    for i in range(budget):
+        params = rng.uniform(lows, highs)
+        try:
+            if evaluate(model, automaton, pi, params).fitness < 0:
+                return ("TC", i + 1)
+        except NonFiniteOutputError as exc:
+            return ("error", str(exc))
+    return ("NFF", budget)
+
+
+def test_batched_uniform_search_meets_what_a_sequential_one_does():
+    pi = single_signal_pi(horizon=10.0, dt=1.0, k=0)
+    automaton = compile_table(parse_table("table T\ninputs u, y\nreq 1\n  post y < 8\n"))
+    outcomes = set()
+    for seed in range(12):
+        for threshold in (8.5, 9.0):
+            model = ThresholdModel(threshold)
+            expected = sequential_outcome(model, automaton, pi, seed, budget=200)
+            try:
+                result = falsify(model, automaton, pi, SearchConfig(budget=200, seed=seed))
+                got = (result.verdict, result.iterations)
+            except NonFiniteOutputError as exc:
+                got = ("error", str(exc))
+            assert got == expected
+            outcomes.add(got[0])
+    assert outcomes == {"TC", "error"}
 
 
 def test_best_evaluation_is_reproducible(omm_pi, omm_tables):

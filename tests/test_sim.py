@@ -121,6 +121,28 @@ def test_plant_demo_is_bounded_and_deterministic():
         assert np.array_equal(out1.samples[sig], out2.samples[sig])
 
 
+@pytest.mark.parametrize("name", sorted(MODEL_PRESETS))
+def test_batched_models_match_their_step_adapter(name):
+    preset = MODEL_PRESETS[name]
+    model = preset.factory()
+    rng = np.random.default_rng(3)
+    n = min(n_samples_for(preset.horizon, preset.dt), 500)
+    inputs = {s: rng.uniform(lo, hi, size=(3, n)) for s, (lo, hi) in preset.input_bounds.items()}
+    batched = model.run_batch(inputs, preset.dt)
+    stepped = SystemModel.run_batch(model, inputs, preset.dt)  # the reset/step adapter
+    for sig in model.outputs:
+        assert batched[sig].tolist() == stepped[sig].tolist()
+
+
+def test_cross_gain_clamp_is_min_of_max():
+    # ties keep the first operand, as min(max(x, lo), hi) does: the sign of a zero survives
+    model = GainCrossModel(clamp=(0.0, 1.0))
+    u = [-0.0, 0.0, -1.0, 0.5, 3.0, float("nan")]
+    out = model.run_batch({"u1": np.array([u]), "u2": np.zeros((1, len(u)))}, 1.0)
+    expected = [min(max(1.0 * a + 0.0 * 0.0, 0.0), 1.0) for a in u]
+    assert [repr(v) for v in out["y1"][0].tolist()] == [repr(v) for v in expected]
+
+
 def test_plant_demo_reset_is_reproducible():
     model = PlantDemoModel()
     assert model.reset() == model.reset()
@@ -146,6 +168,14 @@ def test_trace_csv_rejects_ragged_and_nonuniform(tmp_path):
         read_trace_csv(str(path))
     path.write_text("x,t\n0.0,1.0\n")
     with pytest.raises(TraceFormatError):
+        read_trace_csv(str(path))
+
+
+def test_trace_csv_must_start_at_zero(tmp_path):
+    # times are rebuilt as k * dt, so a shifted file would move every t guard
+    path = tmp_path / "shifted.csv"
+    path.write_text("t,x\n5.0,1.0\n5.5,2.0\n")
+    with pytest.raises(TraceFormatError, match="start at 0"):
         read_trace_csv(str(path))
 
 

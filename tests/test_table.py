@@ -153,6 +153,27 @@ def test_unknown_keyword_is_syntax_error():
         parse_table("table T\nbogus line here\n")
 
 
+@pytest.mark.parametrize(
+    "cell",
+    [
+        "(" * 400 + "x > 0" + ")" * 400,
+        "(" * 400 + "x" + ")" * 400 + " > 0",
+        "~" * 1000 + "x > 0",
+        "-" * 1000 + "x > 0",
+        " + ".join(["x"] * 1000) + " > 0",
+    ],
+    ids=["bool-parens", "arith-parens", "negations", "unary-minus", "sum-chain"],
+)
+def test_deep_nesting_is_a_syntax_error(cell):
+    with pytest.raises(TableSyntaxError, match="nested"):
+        parse_table(f"table T\ninputs x\nreq 1\n  post {cell}\n")
+
+
+def test_moderate_nesting_parses():
+    table = parse_table("table T\ninputs x\nreq 1\n  post " + "(" * 40 + "x > 0" + ")" * 40 + "\n")
+    assert table.requirements[0].postcondition == Rel(">", SignalRef("x"), Const(0.0))
+
+
 def test_comments_and_blank_lines_ignored():
     table = parse_table("# heading\ntable T # trailing\n\ninputs x\nreq 1\n  post x > 0 # ok\n")
     assert table.name == "T"
