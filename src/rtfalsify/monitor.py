@@ -269,7 +269,8 @@ class _Engine:
 
         degrees = np.full((n_candidates, n, len(active)), INF)
         outputs = {name: np.empty(shape) for name in automaton.outputs}
-        carry = {s: np.full((n_candidates, 1), automaton.initial_values[s]) for s in self.prev_outputs}
+        init = automaton.initial_values
+        carry = {s: np.full((n_candidates, 1), init[s]) for s in self.prev_outputs}
         steps = [slice(k, k + 1) for k in range(n)] if automaton.recurrent else [slice(0, n)]
         for cols in steps:
             signals = {name: values[:, cols] for name, values in self.signals.items()}
@@ -324,7 +325,9 @@ class _Engine:
         for j, name in enumerate(self.automaton.outputs):
             unset = ~assigned[name]
             if unset.any():
-                self.errors.append((unset, (2, j), lambda c, k, t, name=name: MissingActionError(name, t)))
+                self.errors.append(
+                    (unset, (2, j), lambda c, k, t, name=name: MissingActionError(name, t))
+                )
         return values
 
     def _postcondition(self, i: int, req, env: ArrayEnv, live: np.ndarray) -> np.ndarray:

@@ -21,7 +21,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .monitor import MonitorAutomaton, MonitorBatch, MonitorRun, compile_table, monitor_batch, run_monitor
+from .monitor import (
+    MonitorAutomaton,
+    MonitorBatch,
+    MonitorRun,
+    compile_table,
+    monitor_batch,
+    run_monitor,
+)
 from .sim import SystemModel, Trace, n_samples_for, simulate, simulate_batch
 from .table import RequirementsTable
 
@@ -134,7 +141,9 @@ class ParameterizedInput:
         spec = self.parameters
         values = np.asarray(params, dtype=float)
         if values.ndim != 2 or values.shape[1] != len(spec):
-            raise ArityMismatchError(f"expected rows of {len(spec)} parameters, got shape {values.shape}")
+            raise ArityMismatchError(
+                f"expected rows of {len(spec)} parameters, got shape {values.shape}"
+            )
         lows, highs = self.bounds
         outside = ~((lows <= values) & (values <= highs))
         if outside.any():
@@ -328,7 +337,8 @@ def falsify(
         max_rows = max(1, BATCH_SAMPLES // pi.times.size)
         rows = 1
         while best_fitness >= 0 and len(history) < cfg.budget:
-            params = rng.uniform(lows, highs, size=(min(rows, max_rows, cfg.budget - len(history)), lows.size))
+            m = min(rows, max_rows, cfg.budget - len(history))
+            params = rng.uniform(lows, highs, size=(m, lows.size))
             rows *= 2
             try:
                 batches = [_evaluate_batch(model, automaton, pi, params)]

@@ -325,7 +325,7 @@ def read_trace_csv(path: str) -> Trace:
     times = data[:, 0]
     steps = np.diff(times)
     dt = float(steps[0])
-    tolerance = 1e-9 * max(abs(dt), 1.0)
+    tolerance = 1e-9 * max(dt, 1.0)
     if dt <= 0 or not np.allclose(steps, dt, rtol=0, atol=tolerance):
         raise TraceFormatError(f"{path}: time column is not uniformly spaced")
     # the monitor rebuilds times as k * dt, so a shifted column would move every t guard

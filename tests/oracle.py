@@ -145,13 +145,15 @@ def _rand_bool(rng, reads, prevs, depth: int, ops=_ARITH) -> BoolExpr:
         return _rand_rel(rng, reads, prevs, ops)
     roll = rng.random()
     if roll < 0.4:
-        return And(_rand_bool(rng, reads, prevs, depth - 1, ops), _rand_bool(rng, reads, prevs, depth - 1, ops))
+        return And(_rand_bool(rng, reads, prevs, depth - 1, ops),
+                   _rand_bool(rng, reads, prevs, depth - 1, ops))
     if roll < 0.8:
-        return Or(_rand_bool(rng, reads, prevs, depth - 1, ops), _rand_bool(rng, reads, prevs, depth - 1, ops))
+        return Or(_rand_bool(rng, reads, prevs, depth - 1, ops),
+                  _rand_bool(rng, reads, prevs, depth - 1, ops))
     return Not(_rand_bool(rng, reads, prevs, depth - 1, ops))
 
 
-def random_bool_expr(rng: np.random.Generator, depth: int = 3, ops: tuple[str, ...] = _ARITH) -> BoolExpr:
+def random_bool_expr(rng: np.random.Generator, depth: int = 3, ops: tuple[str, ...] = _ARITH):
     """A random boolean expression over signals a, b, prev(a), prev(b) and t."""
     return _rand_bool(rng, _INPUTS, _INPUTS, depth, ops)
 

@@ -46,4 +46,5 @@ def test_falsify_output_matches_golden(name, tmp_path):
     for file_name, expected in golden.items():
         assert (tmp_path / file_name).read_bytes() == expected, file_name
     for file_name, expected in digests.items():
-        assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == expected, file_name
+        digest = hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest()
+        assert digest == expected, file_name

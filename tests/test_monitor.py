@@ -59,7 +59,11 @@ def sc_trace(f_s, dt=1.0):
     n = len(f_s)
     return Trace(
         dt=dt,
-        samples={"F_s": np.array(f_s, dtype=float), "T_s": np.full(n, 80.0), "P_s": np.full(n, 87.25)},
+        samples={
+            "F_s": np.array(f_s, dtype=float),
+            "T_s": np.full(n, 80.0),
+            "P_s": np.full(n, 87.25),
+        },
     )
 
 
@@ -334,7 +338,8 @@ NAN_POST = "x * 1e308 * 10 - x * 1e308 * 10 > 0"  # inf - inf for any x != 0
         # within a step: guards, actions, missing outputs, postconditions
         ("req 1\n  pre 1 / x > 0\n  post x > 0\nreq 2\n  post " + NAN_POST + "\n  action y = 0\n",
          [0.0, 1.0], DivisionByZeroError, None),
-        ("req 1\n  post x > 0\n  action y = x\nreq 2\n  pre x > 0\n  post x > 0\n  action y = x + 1\n",
+        ("req 1\n  post x > 0\n  action y = x\n"
+         "req 2\n  pre x > 0\n  post x > 0\n  action y = x + 1\n",
          [1.0], ConflictingActionError, 0.0),
         ("req 1\n  pre x > 0\n  action y = x\nreq 2\n  post " + NAN_POST + "\n",
          [-1.0], MissingActionError, 0.0),
