@@ -668,11 +668,6 @@ def _fmt_arith(e: ArithExpr, required: int) -> str:
     raise TypeError(f"not an arithmetic expression: {e!r}")
 
 
-def table_signals(table: RequirementsTable) -> tuple[str, ...]:
-    """All declared signals, inputs first."""
-    return table.inputs + table.outputs
-
-
 def prev_signals(table: RequirementsTable) -> tuple[str, ...]:
     """Signals read through prev(...) anywhere in the table, sorted."""
     found: set[str] = set()
@@ -681,14 +676,6 @@ def prev_signals(table: RequirementsTable) -> tuple[str, ...]:
             if expr is not None:
                 found |= prev_names(expr)
     return tuple(sorted(found))
-
-
-def bundled_table_names() -> tuple[str, ...]:
-    """Names of the tables shipped with the package."""
-    from importlib.resources import files
-
-    entries = files("rtfalsify").joinpath("tables").iterdir()
-    return tuple(sorted(p.name[:-3] for p in entries if p.name.endswith(".rt")))
 
 
 def load_bundled_table(name: str) -> RequirementsTable:
