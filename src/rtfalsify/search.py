@@ -37,9 +37,9 @@ INF = math.inf
 # stand-in for an infinite fitness inside Metropolis arithmetic
 VACUOUS_PENALTY = 1e15
 
-# most candidate-samples in one uniform-random batch (97 candidates of a
+# most candidate-samples in one uniform-random batch (48 candidates of a
 # 21-sample trace): enough to spread the per-batch cost over many candidates
-BATCH_SAMPLES = 1 << 11
+BATCH_SAMPLES = 1 << 10
 
 UNIFORM_RANDOM = "uniform-random"
 SIMULATED_ANNEALING = "simulated-annealing"
