@@ -62,8 +62,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be > 0")
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError("must be finite and > 0")
     return value
 
 

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -48,7 +50,7 @@ from .expr import (
     holds_array,
     prev_names,
 )
-from .sim import SignalMismatchError, Trace
+from .sim import SignalMismatchError, Trace, write_csv_columns
 from .table import (
     Assignment,
     RequirementsTable,
@@ -119,11 +121,11 @@ class MonitorAutomaton:
     prev_signals: tuple[str, ...]
     initial_values: dict[str, float]
 
-    @property
+    @cached_property
     def requirement_indexes(self) -> tuple[int, ...]:
         return tuple(r.index for r in self.requirements)
 
-    @property
+    @cached_property
     def recurrent(self) -> bool:
         """True when an action reads prev() of a table output, so step k needs step k-1."""
         outputs = set(self.outputs)
@@ -205,7 +207,7 @@ def _first_zero_sign(minima: np.ndarray, values: np.ndarray) -> np.ndarray:
     keeps the first of equal minima; only zeros can differ among equals.
     """
     zero = minima == 0
-    if zero.any():
+    if np.count_nonzero(zero):
         first = np.take_along_axis(values, np.argmax(values == 0, axis=-1)[..., None], axis=-1)
         minima = np.where(zero, first[..., 0], minima)
     return minima
@@ -240,7 +242,11 @@ def monitor_batch(
 
 
 class _Engine:
-    """One monitor_batch call: the batch, the masks built from it, the errors found."""
+    """One monitor_batch call: the batch, the masks built from it, the errors found.
+
+    Masks are tested with ``np.count_nonzero``, which costs less than
+    ``ndarray.any()`` on the small arrays of a search.
+    """
 
     def __init__(self, automaton: MonitorAutomaton, signals, times: np.ndarray):
         self.automaton = automaton
@@ -278,7 +284,8 @@ class _Engine:
             t = times[None, cols]
             live = [mask[:, cols] for mask in active]
             # actions read prev() of an output only in the recurrent case, one step at a time
-            values = self._actions(ArrayEnv(signals, {**prev, **carry}, t), live)
+            action_env = ArrayEnv(signals, {**prev, **carry}, t)
+            values = self._actions(action_env, live) if outputs else {}
             for name, column in values.items():
                 outputs[name][:, cols] = column
             prev.update({s: _delayed(values[s], carry[s]) for s in carry})
@@ -286,10 +293,10 @@ class _Engine:
             post_env = ArrayEnv({**signals, **values}, prev, t)
             for i, req in enumerate(automaton.requirements):
                 if req.postcondition is not None:
-                    degrees[:, cols, i] = self._postcondition(i, req, post_env, live[i])
+                    self._postcondition(i, req, post_env, live[i], degrees[:, cols, i])
             self._raise_first([(m[:, cols], key, make) for m, key, make in guard_errors], t[0])
 
-        fitness = degrees.reshape(n_candidates, -1).min(axis=1, initial=INF)
+        fitness = np.minimum.reduce(degrees.reshape(n_candidates, -1), axis=1, initial=INF)
         return MonitorBatch(
             times=times,
             requirement_indexes=automaton.requirement_indexes,
@@ -302,7 +309,7 @@ class _Engine:
         if req.guard is None:
             return np.ones(self.shape, dtype=bool)
         env.zero_division = False
-        holds = np.broadcast_to(holds_array(req.guard, env), self.shape)
+        holds = _broadcast(holds_array(req.guard, env), self.shape)
         self._note_division(env, (0, i))
         return holds
 
@@ -314,35 +321,36 @@ class _Engine:
         for i, req in enumerate(self.automaton.requirements):
             for a, action in enumerate(req.actions):
                 env.zero_division = False
-                value = np.broadcast_to(arith_array(action.value, env, live[i]), shape)
+                value = _broadcast(arith_array(action.value, env, live[i]), shape)
                 self._note_division(env, (1, i, a, 0))
                 target, current = action.target, values[action.target]
                 conflict = live[i] & assigned[target] & (current != value)
-                if conflict.any():
+                if np.count_nonzero(conflict):
                     self.errors.append((conflict, (1, i, a, 1), _conflict(target, current, value)))
                 values[target] = np.where(live[i], value, current)
                 assigned[target] = assigned[target] | live[i]
         for j, name in enumerate(self.automaton.outputs):
             unset = ~assigned[name]
-            if unset.any():
+            if np.count_nonzero(unset):
                 self.errors.append(
                     (unset, (2, j), lambda c, k, t, name=name: MissingActionError(name, t))
                 )
         return values
 
-    def _postcondition(self, i: int, req, env: ArrayEnv, live: np.ndarray) -> np.ndarray:
+    def _postcondition(self, i: int, req, env: ArrayEnv, live: np.ndarray, out) -> None:
+        """Write the degrees into ``out`` where ``live``; ``out`` holds +inf elsewhere."""
         env.zero_division = False
-        value = np.broadcast_to(degree_array(req.postcondition, env, live), live.shape)
+        np.copyto(out, degree_array(req.postcondition, env, live), where=live)
         self._note_division(env, (3, i, 0))
-        undefined = live & np.isnan(value)
-        if undefined.any():
+        undefined = np.isnan(out)
+        if np.count_nonzero(undefined):
             self.errors.append(
                 (undefined, (3, i, 1), lambda c, k, t, idx=req.index: UndefinedDegreeError(idx, t))
             )
-        return np.where(live, value, INF)
 
     def _note_division(self, env: ArrayEnv, key: tuple) -> None:
-        if np.any(env.zero_division):
+        # stays the plain False it was reset to unless a `/` was evaluated
+        if env.zero_division is not False and np.count_nonzero(env.zero_division):
             mask = np.broadcast_to(env.zero_division, (self.shape[0], env.t.shape[1]))
             self.errors.append((mask, key, lambda c, k, t: DivisionByZeroError()))
 
@@ -356,6 +364,13 @@ class _Engine:
         if first is not None:
             k, _, mask, make = first
             raise make(int(np.argmax(mask[:, k])), k, float(t[k]))
+
+
+def _broadcast(values, shape: tuple[int, int]) -> np.ndarray:
+    """``values`` as an array of ``shape``: itself if it has that shape, else a broadcast view."""
+    if getattr(values, "shape", None) == shape:
+        return values
+    return np.broadcast_to(values, shape)
 
 
 def _delayed(values: np.ndarray, first) -> np.ndarray:
@@ -396,5 +411,6 @@ def write_degree_csv(run: MonitorRun, path: str) -> None:
         writer.writerow(
             ["t", *(f"ff_{idx}" for idx in run.requirement_indexes), "ff_total_running"]
         )
-        for t, row, total in zip(run.times, run.degrees, run.running):
-            writer.writerow([repr(t), *(repr(d) for d in row), repr(total)])
+        # one lazy column per requirement: transposing the rows would copy them all
+        degrees = (map(itemgetter(j), run.degrees) for j in range(len(run.requirement_indexes)))
+        write_csv_columns(fh, [run.times, *degrees, run.running])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,7 +39,8 @@ INF = math.inf
 VACUOUS_PENALTY = 1e15
 
 # most candidate-samples in one uniform-random batch (48 candidates of a
-# 21-sample trace): enough to spread the per-batch cost over many candidates
+# 21-sample trace); a batch this size still costs mostly its fixed part, so
+# larger batches run faster, but they hold more memory at once
 BATCH_SAMPLES = 1 << 10
 
 UNIFORM_RANDOM = "uniform-random"
@@ -68,8 +70,12 @@ class SignalShape:
     discontinuities: int = 1
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError(f"'{self.name}': bounds must be finite")
         if self.lower > self.upper:
             raise ValueError(f"'{self.name}': lower bound exceeds upper bound")
+        if not math.isfinite(self.upper - self.lower):
+            raise ValueError(f"'{self.name}': upper - lower is not finite")
         if self.discontinuities < 0:
             raise ValueError(f"'{self.name}': discontinuity count must be >= 0")
 
@@ -91,6 +97,9 @@ class ParameterizedInput:
     valid trace over the full horizon; a sample takes the level after as
     many switches as lie at or before it, so the order of the switch times
     in the vector does not matter.
+
+    ``parameters``, ``bounds`` and ``times`` are computed once per object;
+    ``bounds`` and ``times`` are returned as read-only arrays.
     """
 
     shapes: tuple[SignalShape, ...]
@@ -105,7 +114,7 @@ class ParameterizedInput:
         if not (self.dt > 0):
             raise ValueError("dt must be > 0")
 
-    @property
+    @cached_property
     def parameters(self) -> tuple[Parameter, ...]:
         params: list[Parameter] = []
         for shape in self.shapes:
@@ -116,17 +125,17 @@ class ParameterizedInput:
                 params.append(Parameter(f"{shape.name}_switch{j}", 0.0, self.horizon))
         return tuple(params)
 
-    @property
+    @cached_property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         params = self.parameters
         return (
-            np.array([p.lower for p in params]),
-            np.array([p.upper for p in params]),
+            _read_only(np.array([p.lower for p in params])),
+            _read_only(np.array([p.upper for p in params])),
         )
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.arange(n_samples_for(self.horizon, self.dt)) * self.dt
+        return _read_only(np.arange(n_samples_for(self.horizon, self.dt)) * self.dt)
 
     def instantiate(self, params: Sequence[float]) -> Trace:
         """Build the input trace for one parameter vector."""
@@ -145,13 +154,14 @@ class ParameterizedInput:
                 f"expected rows of {len(spec)} parameters, got shape {values.shape}"
             )
         lows, highs = self.bounds
-        outside = ~((lows <= values) & (values <= highs))
-        if outside.any():
-            row, j = np.argwhere(outside)[0]
+        inside = (lows <= values) & (values <= highs)
+        if not inside.all():
+            row, j = np.argwhere(~inside)[0]
             p = spec[j]
             raise OutOfBoundsError(f"{p.name}={values[row, j]!r} outside [{p.lower}, {p.upper}]")
 
         times = self.times
+        rows = np.arange(values.shape[0])[:, None]
         samples: dict[str, np.ndarray] = {}
         offset = 0
         for shape in self.shapes:
@@ -161,8 +171,13 @@ class ParameterizedInput:
             offset += 2 * k + 1
             # value at time u is the level of the last switch at or before u
             segment = (switches[:, :, None] <= times).sum(axis=1)
-            samples[shape.name] = np.take_along_axis(levels, segment, axis=1)
+            samples[shape.name] = levels[rows, segment]
         return samples
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)
@@ -335,10 +350,12 @@ def falsify(
 
     if cfg.algorithm == UNIFORM_RANDOM:
         max_rows = max(1, BATCH_SAMPLES // pi.times.size)
+        spans = highs - lows
         rows = 1
         while best_fitness >= 0 and len(history) < cfg.budget:
             m = min(rows, max_rows, cfg.budget - len(history))
-            params = rng.uniform(lows, highs, size=(m, lows.size))
+            # the floats of rng.uniform(lows, highs, size=(m, d)), without its argument checks
+            params = lows + spans * rng.random((m, lows.size))
             rows *= 2
             try:
                 batches = [_evaluate_batch(model, automaton, pi, params)]
@@ -348,8 +365,9 @@ def falsify(
                 batches = (_evaluate_batch(model, automaton, pi, p[None]) for p in params)
             for batch in batches:
                 fitnesses = batch.monitored.fitness.tolist()
-                stop = next((j + 1 for j, f in enumerate(fitnesses) if f < 0), len(fitnesses))
-                record(batch, fitnesses[:stop])
+                if min(fitnesses) < 0:  # keep the history up to the first test case
+                    fitnesses = fitnesses[: next(j for j, f in enumerate(fitnesses) if f < 0) + 1]
+                record(batch, fitnesses)
                 if best_fitness < 0:
                     break
     else:

@@ -265,12 +265,11 @@ def simulate_batch(
     if missing:
         raise SignalMismatchError(f"input trace is missing signals: {', '.join(missing)}")
     produced = model.run_batch(inputs, dt)
-    bad = {name: ~np.isfinite(produced[name]) for name in model.outputs}
-    first = [(int(np.argmax(b.any(axis=0))), j) for j, b in enumerate(bad.values()) if b.any()]
-    if first:
-        k, j = min(first)
+    finite = [np.isfinite(produced[name]) for name in model.outputs]
+    if not all(f.all() for f in finite):
+        k, j = min((int(np.argmin(f.all(axis=0))), j) for j, f in enumerate(finite) if not f.all())
         name = model.outputs[j]
-        value = float(produced[name][np.argmax(bad[name][:, k]), k])
+        value = float(produced[name][np.argmin(finite[j][:, k]), k])
         raise NonFiniteOutputError(f"model output '{name}' is {value!r} at t={k * dt}")
     merged = dict(inputs)
     merged.update((name, produced[name]) for name in model.outputs)
@@ -282,14 +281,15 @@ def simulate_batch(
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Write a trace as CSV with the time column first, signals in declared order."""
-    times = trace.times
+    columns = [trace.times.tolist(), *(trace.samples[s].tolist() for s in trace.signals)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *trace.signals])
-        for k in range(trace.n_samples):
-            writer.writerow(
-                [repr(float(times[k])), *(repr(float(trace.samples[s][k])) for s in trace.signals)]
-            )
+        csv.writer(fh).writerow(["t", *trace.signals])
+        write_csv_columns(fh, columns)
+
+
+def write_csv_columns(fh, columns) -> None:
+    """Write float columns row by row as csv.writer does: a float's repr needs no quoting."""
+    fh.writelines(",".join(row) + "\r\n" for row in zip(*(map(repr, c) for c in columns)))
 
 
 def read_trace_csv(path: str) -> Trace:

@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import rtfalsify
 from rtfalsify import ParameterizedInput, SignalShape, load_bundled_table
+
+# tests that start `python -m rtfalsify.cli` need the package the tests import
+_SOURCE = str(Path(rtfalsify.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SOURCE, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -164,6 +164,30 @@ def test_falsify_budget_zero_is_usage_error():
     assert run_cli("falsify", "--model", "omm-v0", "--table", "omm-rt0", "--budget", "0") == 2
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--input", "u1:-inf:inf"),
+        ("--input", "u1:nan:1"),
+        ("--input", "u1:-1e308:1e308"),  # finite bounds, but the range overflows
+        ("--horizon", "inf"),
+        ("--horizon", "nan"),
+        ("--dt", "inf"),
+        ("--dt", "nan"),
+    ],
+)
+def test_falsify_non_finite_argument_is_usage_error(tmp_path, capsys, option, value):
+    out = tmp_path / "run"
+    code = run_cli(
+        "falsify", "--model", "omm-v1", "--table", "omm-rt0", "--budget", "5",
+        "--out", str(out), option, value,
+    )
+    assert code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "error" in last and "finite" in last
+    assert not out.exists()  # rejected before any search or output file
+
+
 def test_falsify_unknown_model_is_usage_error():
     assert run_cli("falsify", "--model", "nope", "--table", "omm-rt0") == 2
 

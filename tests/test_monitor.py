@@ -10,11 +10,13 @@ from rtfalsify.monitor import (
     MonitorError,
     UndefinedDegreeError,
     compile_table,
+    monitor_batch,
     run_monitor,
     write_degree_csv,
 )
-from rtfalsify.sim import SignalMismatchError, Trace
-from rtfalsify.table import RequirementsTable, parse_table
+from rtfalsify.search import ParameterizedInput, SignalShape
+from rtfalsify.sim import MODEL_PRESETS, SignalMismatchError, Trace, make_model, simulate_batch
+from rtfalsify.table import RequirementsTable, load_bundled_table, parse_table
 
 INF = math.inf
 
@@ -361,3 +363,64 @@ def test_short_circuit_guards_do_not_divide():
     automaton = simple_table("table T\ninputs x\nreq 1\n  pre x > 0 & 1 / x > 0\n  post x < 5\n")
     run = run_monitor(automaton, Trace(dt=1.0, samples={"x": np.array([0.0, 2.0])}))
     assert run.degrees == [[INF], [3.0]]
+
+
+DIVIDING_ROWS = [
+    "req 1\n  pre 1 / x > 0\n  action y = 0\n",  # a guard divides
+    "req 1\n  pre x > -1\n  action y = 1 / x\n",  # an action divides
+    "req 1\n  pre x > -1\n  action y = prev(y) + 1 / x\n",  # ... one step at a time
+]
+
+
+@pytest.mark.parametrize("rows", DIVIDING_ROWS)
+@pytest.mark.parametrize(
+    "x, error, t",
+    [
+        ([1.0, 0.0, -2.0], DivisionByZeroError, None),  # divides at step 1, unset at step 2
+        ([1.0, -2.0, 0.0], MissingActionError, 1.0),  # unset at step 1, divides at step 2
+    ],
+)
+def test_division_by_zero_raises_at_its_step(rows, x, error, t):
+    automaton = simple_table("table T\ninputs x\noutputs y\ninit y = 0\n" + rows)
+    with pytest.raises(error) as raised:
+        run_monitor(automaton, Trace(dt=1.0, samples={"x": np.array(x)}))
+    assert getattr(raised.value, "t", None) == t
+
+
+# --- a batch equals its candidates run one at a time --------------------------------
+
+
+def preset_input(name):
+    preset = MODEL_PRESETS[name]
+    shapes = tuple(SignalShape(s, lo, hi) for s, (lo, hi) in preset.input_bounds.items())
+    return ParameterizedInput(shapes=shapes, horizon=preset.horizon, dt=preset.dt)
+
+
+def same_floats(a, b):
+    """Equal bit for bit, so -0.0 differs from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "model_name, table_name, n",
+    [("plant-demo", "sc", 16)]
+    + [(f"omm-v{v}", f"omm-rt{r}", 24) for v in range(4) for r in range(3)],
+)
+def test_batch_equals_batches_of_one(model_name, table_name, n):
+    pi = preset_input(model_name)
+    automaton = compile_table(load_bundled_table(table_name))
+    lows, highs = pi.bounds
+    params = np.random.default_rng(n).uniform(lows, highs, size=(n, lows.size))
+    params[0] = np.where(lows <= 0.0, 0.0, lows)  # zero levels give zero degrees
+    params[1] = np.where(lows <= 0.0, -0.0, lows)
+    params[2] = np.where(lows < 0.0, -0.4, highs)  # violates omm-rt2
+    signals = simulate_batch(make_model(model_name), pi.instantiate_batch(params), pi.dt)
+    batch = monitor_batch(automaton, signals, pi.times)
+    for c in range(n):
+        one = monitor_batch(automaton, {s: v[c : c + 1] for s, v in signals.items()}, pi.times)
+        assert same_floats(batch.degrees[c], one.degrees[0])
+        assert same_floats(batch.fitness[c], one.fitness[0])
+        assert batch.outputs.keys() == one.outputs.keys()
+        for name, values in batch.outputs.items():
+            assert same_floats(values[c], one.outputs[name][0])

@@ -79,6 +79,21 @@ def test_parameter_layout():
     assert (switch.lower, switch.upper) == (0.0, 5.0)
 
 
+def test_bounds_and_times_are_computed_once_and_read_only(omm_pi):
+    assert omm_pi.bounds is omm_pi.bounds and omm_pi.times is omm_pi.times
+    for values in (*omm_pi.bounds, omm_pi.times):
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "lower, upper", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)]
+)
+def test_signal_shape_needs_a_finite_range(lower, upper):
+    with pytest.raises(ValueError, match="finite"):
+        SignalShape("u", lower, upper)
+
+
 def test_arity_and_bounds_errors():
     pi = single_signal_pi()
     with pytest.raises(ArityMismatchError):
