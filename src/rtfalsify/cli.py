@@ -67,8 +67,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one ``usage error:`` line; subcommands inherit it."""
+
+    def error(self, message: str):
+        self.exit(EXIT_SYNTAX, f"usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rtfalsify",
         description="Falsification of tabular requirements over simulated systems.",
     )
@@ -314,7 +321,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors, matching the syntax exit code
+        # 0 after --help, EXIT_SYNTAX after a usage error
         return int(exc.code or 0)
 
     try:

@@ -274,27 +274,29 @@ class _Engine:
         guard_errors, self.errors = self.errors, []
 
         degrees = np.full((n_candidates, n, len(active)), INF)
-        outputs = {name: np.empty(shape) for name in automaton.outputs}
         init = automaton.initial_values
         carry = {s: np.full((n_candidates, 1), init[s]) for s in self.prev_outputs}
-        steps = [slice(k, k + 1) for k in range(n)] if automaton.recurrent else [slice(0, n)]
-        for cols in steps:
-            signals = {name: values[:, cols] for name, values in self.signals.items()}
-            prev = {name: values[:, cols] for name, values in self.prev.items()}
-            t = times[None, cols]
-            live = [mask[:, cols] for mask in active]
-            # actions read prev() of an output only in the recurrent case, one step at a time
-            action_env = ArrayEnv(signals, {**prev, **carry}, t)
-            values = self._actions(action_env, live) if outputs else {}
-            for name, column in values.items():
-                outputs[name][:, cols] = column
-            prev.update({s: _delayed(values[s], carry[s]) for s in carry})
-            carry = {s: values[s][:, -1:] for s in carry}
-            post_env = ArrayEnv({**signals, **values}, prev, t)
-            for i, req in enumerate(automaton.requirements):
-                if req.postcondition is not None:
-                    self._postcondition(i, req, post_env, live[i], degrees[:, cols, i])
-            self._raise_first([(m[:, cols], key, make) for m, key, make in guard_errors], t[0])
+        if not automaton.recurrent:  # one pass over the whole arrays
+            outputs = self._pass(
+                self.signals, self.prev, times, active, carry, degrees, guard_errors
+            )
+        else:
+            # actions read prev() of an output: one step at a time, carrying the outputs
+            outputs = {name: np.empty(shape) for name in automaton.outputs}
+            for k in range(n):
+                cols = slice(k, k + 1)
+                values = self._pass(
+                    {name: signal[:, cols] for name, signal in self.signals.items()},
+                    {name: signal[:, cols] for name, signal in self.prev.items()},
+                    times[cols],
+                    [mask[:, cols] for mask in active],
+                    carry,
+                    degrees[:, cols],
+                    [(mask[:, cols], key, make) for mask, key, make in guard_errors],
+                )
+                for name, column in values.items():
+                    outputs[name][:, cols] = column
+                carry = {s: values[s] for s in carry}
 
         fitness = np.minimum.reduce(degrees.reshape(n_candidates, -1), axis=1, initial=INF)
         return MonitorBatch(
@@ -304,6 +306,24 @@ class _Engine:
             outputs=outputs,
             fitness=_first_zero_sign(fitness, degrees.reshape(n_candidates, -1)),
         )
+
+    def _pass(self, signals, prev, times, live, carry, degrees, guard_errors) -> dict:
+        """Actions, then postconditions, over some steps; returns the outputs' values.
+
+        ``carry`` holds each prev()-read output's value before the first of
+        these steps; ``degrees`` is the (candidates, steps, requirements)
+        block to write into.
+        """
+        t = times[None, :]
+        action_env = ArrayEnv(signals, {**prev, **carry}, t)
+        values = self._actions(action_env, live) if self.automaton.outputs else {}
+        prev = {**prev, **{s: _delayed(values[s], carry[s]) for s in carry}}
+        post_env = ArrayEnv({**signals, **values}, prev, t)
+        for i, req in enumerate(self.automaton.requirements):
+            if req.postcondition is not None:
+                self._postcondition(i, req, post_env, live[i], degrees[:, :, i])
+        self._raise_first(guard_errors, times)
+        return values
 
     def _guard(self, i: int, req: CompiledRequirement, env: ArrayEnv) -> np.ndarray:
         if req.guard is None:

@@ -7,10 +7,13 @@ fitness over that box and stops at the first test case whose fitness is
 negative (a failure-revealing test case, verdict TC); exhausting the budget
 yields verdict NFF. Both algorithms are fully reproducible from the seed.
 
-Uniform random search evaluates its candidates in batches of 1, 2, 4, ...
-through the array engine; it records the same history as drawing and
-evaluating them one at a time, because one draw of n rows yields the same
-numbers as n draws of one row.
+Uniform random search evaluates its candidates through the array engine in
+batches of up to BATCH_SAMPLES candidate-samples, the last one cut at the
+budget. It records the same history as drawing and evaluating them one at a
+time, because one draw of n rows yields the same numbers as n draws of one
+row, and the history stops at the first test case. The candidates after it
+in the same batch were still simulated and monitored; they never enter the
+history.
 """
 
 from __future__ import annotations
@@ -39,8 +42,10 @@ INF = math.inf
 VACUOUS_PENALTY = 1e15
 
 # most candidate-samples in one uniform-random batch (48 candidates of a
-# 21-sample trace); a batch this size still costs mostly its fixed part, so
-# larger batches run faster, but they hold more memory at once
+# 21-sample trace, at least one candidate); every batch but the budget's last
+# is full, so a search evaluates at most one batch past its first test case. A
+# batch this size still costs mostly its fixed part, so larger batches run
+# faster, but they hold more memory at once
 BATCH_SAMPLES = 1 << 10
 
 UNIFORM_RANDOM = "uniform-random"
@@ -155,24 +160,39 @@ class ParameterizedInput:
             )
         lows, highs = self.bounds
         inside = (lows <= values) & (values <= highs)
-        if not inside.all():
+        if np.count_nonzero(inside) != inside.size:
             row, j = np.argwhere(~inside)[0]
             p = spec[j]
             raise OutOfBoundsError(f"{p.name}={values[row, j]!r} outside [{p.lower}, {p.upper}]")
 
-        times = self.times
-        rows = np.arange(values.shape[0])[:, None]
-        samples: dict[str, np.ndarray] = {}
+        switches, owners, first_levels = self._layout
+        n_rows, n_params = values.shape
+        n_samples = self.times.size
+        # (switches, rows, samples): which switch times lie at or before each sample
+        passed = values.T[switches][:, :, None] <= self.times
+        # a sample takes the level after as many of its signal's switches as it has passed;
+        # the counts are small whole numbers, exact as floats
+        index = owners @ passed.reshape(switches.size, n_rows * n_samples)
+        index = index.reshape(len(self.shapes), n_rows, n_samples)
+        index += first_levels[:, None, None] + np.arange(0, n_rows * n_params, n_params)[:, None]
+        levels = values.take(index.astype(np.intp))  # flat positions into ``values``
+        return {shape.name: signal for shape, signal in zip(self.shapes, levels)}
+
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The columns of all switch times, which signal owns each switch (a 0/1
+        matrix of signals x switches), and the column of each signal's first level."""
+        switches: list[int] = []
+        first_levels: list[int] = []
+        owners = np.zeros((len(self.shapes), sum(s.discontinuities for s in self.shapes)))
         offset = 0
-        for shape in self.shapes:
+        for g, shape in enumerate(self.shapes):
             k = shape.discontinuities
-            levels = values[:, offset : offset + k + 1]
-            switches = values[:, offset + k + 1 : offset + 2 * k + 1]
+            owners[g, len(switches) : len(switches) + k] = 1.0
+            first_levels.append(offset)
+            switches.extend(range(offset + k + 1, offset + 2 * k + 1))
             offset += 2 * k + 1
-            # value at time u is the level of the last switch at or before u
-            segment = (switches[:, :, None] <= times).sum(axis=1)
-            samples[shape.name] = levels[rows, segment]
-        return samples
+        return np.array(switches, dtype=np.intp), owners, np.array(first_levels)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -351,12 +371,10 @@ def falsify(
     if cfg.algorithm == UNIFORM_RANDOM:
         max_rows = max(1, BATCH_SAMPLES // pi.times.size)
         spans = highs - lows
-        rows = 1
         while best_fitness >= 0 and len(history) < cfg.budget:
-            m = min(rows, max_rows, cfg.budget - len(history))
+            m = min(max_rows, cfg.budget - len(history))
             # the floats of rng.uniform(lows, highs, size=(m, d)), without its argument checks
             params = lows + spans * rng.random((m, lows.size))
-            rows *= 2
             try:
                 batches = [_evaluate_batch(model, automaton, pi, params)]
             except Exception:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -296,7 +297,7 @@ def read_trace_csv(path: str) -> Trace:
     """Read a trace written by write_trace_csv (or compatible).
 
     The first column must be a uniformly spaced time axis starting at 0;
-    the step size is inferred from it.
+    the step size is inferred from it. Column names must be distinct.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -309,19 +310,25 @@ def read_trace_csv(path: str) -> Trace:
         names = header[1:]
         if not names:
             raise TraceFormatError(f"{path}: no signal columns")
-        rows = []
+        seen: set[str] = set()
+        for name in header:
+            if name in seen:
+                raise TraceFormatError(f"{path}: repeated column '{name}'")
+            seen.add(name)
+        # one flat buffer of floats, row after row, instead of a list per row
+        cells = array("d")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise TraceFormatError(f"{path}:{lineno}: expected {len(header)} columns")
             try:
-                rows.append([float(cell) for cell in row])
+                cells.extend(map(float, row))
             except ValueError as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
-    if len(rows) < 2:
+    data = np.frombuffer(cells, dtype=float).reshape(-1, len(header))
+    if len(data) < 2:
         raise TraceFormatError(f"{path}: need at least two samples to infer dt")
-    data = np.asarray(rows)
     times = data[:, 0]
     steps = np.diff(times)
     dt = float(steps[0])

@@ -116,6 +116,17 @@ def test_monitor_vacuous_table_prints_inf(tmp_path, capsys):
     assert "fitness +inf" in capsys.readouterr().out
 
 
+def test_monitor_repeated_column_is_runtime_error(tmp_path, capsys):
+    table_path = tmp_path / "pos.rt"
+    table_path.write_text("table T\ninputs x\nreq 1\n  post x > 0\n")
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("t,x,x\n0.0,1.0,-6.0\n1.0,1.0,-6.0\n")
+    assert run_cli("monitor", str(table_path), str(trace_path), "--out", str(tmp_path)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "repeated column 'x'" in captured.err
+
+
 def test_monitor_missing_column_fails(tmp_path, sc_path):
     trace_path = tmp_path / "trace.csv"
     write_trace_csv(Trace(dt=1.0, samples={"F_s": np.zeros(4)}), str(trace_path))
@@ -160,8 +171,15 @@ def test_falsify_nff_exit(tmp_path):
     assert not (out / "testcase_trace.csv").exists()
 
 
-def test_falsify_budget_zero_is_usage_error():
+def assert_one_usage_line(err: str) -> str:
+    """The usage error's single line: no usage block before it."""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    return err
+
+
+def test_falsify_budget_zero_is_usage_error(capsys):
     assert run_cli("falsify", "--model", "omm-v0", "--table", "omm-rt0", "--budget", "0") == 2
+    assert ">= 1" in assert_one_usage_line(capsys.readouterr().err)
 
 
 @pytest.mark.parametrize(
@@ -183,13 +201,19 @@ def test_falsify_non_finite_argument_is_usage_error(tmp_path, capsys, option, va
         "--out", str(out), option, value,
     )
     assert code == 2
-    last = capsys.readouterr().err.strip().splitlines()[-1]
-    assert "error" in last and "finite" in last
+    assert "finite" in assert_one_usage_line(capsys.readouterr().err)
     assert not out.exists()  # rejected before any search or output file
 
 
-def test_falsify_unknown_model_is_usage_error():
+def test_falsify_unknown_model_is_usage_error(capsys):
     assert run_cli("falsify", "--model", "nope", "--table", "omm-rt0") == 2
+    assert "'nope'" in assert_one_usage_line(capsys.readouterr().err)
+
+
+def test_help_still_prints_the_usage_block(capsys):
+    assert run_cli("falsify", "--help") == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: rtfalsify falsify") and "--budget" in out
 
 
 def test_falsify_multi_run_summary(tmp_path):

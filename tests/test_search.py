@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rtfalsify.search as search
 from rtfalsify.monitor import compile_table
 from rtfalsify.search import (
     ArityMismatchError,
@@ -106,6 +107,45 @@ def test_full_horizon_is_covered():
     trace = single_signal_pi(horizon=30.0, dt=1.0).instantiate([1.0, 2.0, 29.5])
     assert trace.n_samples == 31
     assert trace.horizon == 30.0
+
+
+def per_signal_instantiate(pi, values):
+    """Reference: one compare, count and gather per signal."""
+    samples, offset = {}, 0
+    for shape in pi.shapes:
+        k = shape.discontinuities
+        levels = values[:, offset : offset + k + 1]
+        switches = values[:, offset + k + 1 : offset + 2 * k + 1]
+        offset += 2 * k + 1
+        segment = (switches[:, :, None] <= pi.times).sum(axis=1)
+        samples[shape.name] = levels[np.arange(len(values))[:, None], segment]
+    return samples
+
+
+@pytest.mark.parametrize(
+    "counts", [(0,), (3,), (0, 0), (1, 0), (0, 2), (2, 0, 1), (5, 0, 0, 1), (1, 1)]
+)
+@pytest.mark.parametrize("horizon, dt", [(10.0, 0.5), (0.0, 1.0), (3.0, 0.7)])
+def test_instantiate_batch_matches_a_per_signal_gather(counts, horizon, dt):
+    shapes = tuple(SignalShape(f"s{j}", -1.0, 1.0, k) for j, k in enumerate(counts))
+    pi = ParameterizedInput(shapes=shapes, horizon=horizon, dt=dt)
+    lows, highs = pi.bounds
+    rng = np.random.default_rng(sum(counts) + len(counts))
+    for rows in (1, 2, 7):
+        values = lows + (highs - lows) * rng.random((rows, lows.size))
+        # switches exactly on sample times, at 0 and at the horizon, and ±0.0 levels
+        is_switch = np.array(["_switch" in p.name for p in pi.parameters])
+        on_grid = rng.choice(np.append(pi.times, horizon), size=values.shape)
+        values = np.where(is_switch & (rng.random(values.shape) < 0.5), on_grid, values)
+        values = np.where(~is_switch & (rng.random(values.shape) < 0.2), -0.0, values)
+        got = pi.instantiate_batch(values)
+        expected = per_signal_instantiate(pi, values)
+        assert list(got) == [s.name for s in shapes]
+        for name, signal in expected.items():
+            assert got[name].shape == (rows, pi.times.size)
+            assert [repr(v) for v in got[name].ravel().tolist()] == [
+                repr(v) for v in signal.ravel().tolist()
+            ]
 
 
 # --- evaluate -------------------------------------------------------------------
@@ -310,3 +350,65 @@ def test_best_evaluation_is_reproducible(omm_pi, omm_tables):
     again = evaluate(make_model("omm-v1"), omm_tables[0], omm_pi, result.best_params)
     assert isinstance(result.best_evaluation, Evaluation)
     assert again.fitness == result.best_fitness
+
+
+def search_outcome(model, automaton, pi, cfg):
+    """Everything a uniform search reports, as plain values; an error by its type and text."""
+    try:
+        result = falsify(model, automaton, pi, cfg)
+    except NonFiniteOutputError as exc:
+        return ("error", str(exc))
+    best = result.best_evaluation
+    return (
+        result.verdict,
+        result.iterations,
+        [repr(f) for f in result.history],
+        [repr(p) for p in result.best_params.tolist()],
+        result.violated,
+        repr(best.fitness),
+        [[repr(d) for d in row] for row in best.run.degrees],
+        [repr(r) for r in best.run.running],
+        {name: values.tolist() for name, values in best.trace.samples.items()},
+    )
+
+
+def test_uniform_results_do_not_depend_on_batch_size(monkeypatch, omm_pi, omm_tables):
+    # omm-v1 x omm-rt0: seed 5 meets its test case inside the first full batch, 10 on
+    # its last candidate, 4 in the second batch, 1 later; seed 11 exhausts the budget
+    cases = [
+        (make_model("omm-v1"), compile_table(omm_tables[0]), omm_pi, seed, 1500)
+        for seed in (5, 10, 4, 1, 11)
+    ]
+    pi = single_signal_pi(horizon=10.0, dt=1.0, k=0)
+    automaton = compile_table(parse_table("table T\ninputs u, y\nreq 1\n  post y < 8\n"))
+    cases += [
+        (ThresholdModel(threshold), automaton, pi, seed, 200)
+        for seed in range(8)
+        for threshold in (8.5, 9.0)
+    ]
+    default = [search_outcome(m, a, p, SearchConfig(budget=b, seed=s)) for m, a, p, s, b in cases]
+    monkeypatch.setattr(search, "BATCH_SAMPLES", 1)  # one candidate per batch
+    single = [search_outcome(m, a, p, SearchConfig(budget=b, seed=s)) for m, a, p, s, b in cases]
+    assert single == default
+    assert [o[:2] for o in default[:5]] == [
+        ("TC", 32), ("TC", 48), ("TC", 64), ("TC", 303), ("NFF", 1500)
+    ]
+    assert {o[0] for o in default[5:]} == {"TC", "error"}
+
+
+def test_uniform_search_draws_full_batches(monkeypatch, omm_pi, omm_tables):
+    calls = []
+    evaluate_batch = search._evaluate_batch
+
+    def counting(model, automaton, pi, params):
+        calls.append(len(params))
+        return evaluate_batch(model, automaton, pi, params)
+
+    monkeypatch.setattr(search, "_evaluate_batch", counting)
+    budget = 1500
+    cfg = SearchConfig(budget=budget, seed=11)
+    result = falsify(make_model("omm-v1"), omm_tables[0], omm_pi, cfg)
+    assert result.verdict == "NFF"
+    max_rows = search.BATCH_SAMPLES // omm_pi.times.size
+    assert len(calls) == math.ceil(budget / max_rows)
+    assert calls[:-1] == [max_rows] * (len(calls) - 1) and sum(calls) == budget

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,37 @@ def test_trace_csv_must_start_at_zero(tmp_path):
     path.write_text("t,x\n5.0,1.0\n5.5,2.0\n")
     with pytest.raises(TraceFormatError, match="start at 0"):
         read_trace_csv(str(path))
+
+
+def test_trace_csv_rejects_a_repeated_column(tmp_path):
+    path = tmp_path / "twice.csv"
+    path.write_text("t,x,y,x\n0.0,1.0,2.0,-6.0\n1.0,1.0,2.0,-6.0\n")
+    with pytest.raises(TraceFormatError, match="'x'"):
+        read_trace_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("0.0,1.0\n1.0,oops\n", 3, "could not convert"),
+        ("0.0,1.0\n\n1.0\n", 4, "expected 2 columns"),
+        ("0.0,1.0,2.0\n", 2, "expected 2 columns"),
+    ],
+)
+def test_trace_csv_names_the_bad_line(tmp_path, body, line, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,x\n" + body)
+    with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}:{line}: {message}"):
+        read_trace_csv(str(path))
+
+
+def test_trace_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("t,x,y\n\n0.0,1.5,-2\n\n1.0,inf,3e2\n\n")
+    back = read_trace_csv(str(path))
+    assert back.dt == 1.0
+    assert back.samples["x"].tolist() == [1.5, float("inf")]
+    assert back.samples["y"].tolist() == [-2.0, 300.0]
 
 
 def test_presets_are_complete():
