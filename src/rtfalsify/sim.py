@@ -267,7 +267,8 @@ def simulate_batch(
         raise SignalMismatchError(f"input trace is missing signals: {', '.join(missing)}")
     produced = model.run_batch(inputs, dt)
     finite = [np.isfinite(produced[name]) for name in model.outputs]
-    if not all(f.all() for f in finite):
+    # np.count_nonzero costs less than ndarray.all() on the small arrays of a search
+    if any(np.count_nonzero(f) != f.size for f in finite):
         k, j = min((int(np.argmin(f.all(axis=0))), j) for j, f in enumerate(finite) if not f.all())
         name = model.outputs[j]
         value = float(produced[name][np.argmin(finite[j][:, k]), k])
@@ -315,7 +316,8 @@ def read_trace_csv(path: str) -> Trace:
             if name in seen:
                 raise TraceFormatError(f"{path}: repeated column '{name}'")
             seen.add(name)
-        # one flat buffer of floats, row after row, instead of a list per row
+        # one flat buffer of floats, row after row: a list per row would hold about five
+        # times the memory, and a long replay trace is the CLI's largest allocation
         cells = array("d")
         for lineno, row in enumerate(reader, start=2):
             if not row:
