@@ -54,14 +54,20 @@ EXIT_NFF = 10
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
     if not (0 < value < math.inf):
         raise argparse.ArgumentTypeError("must be finite and > 0")
     return value

@@ -205,6 +205,19 @@ def test_falsify_non_finite_argument_is_usage_error(tmp_path, capsys, option, va
     assert not out.exists()  # rejected before any search or output file
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--budget", "1e3", "argument --budget: expected a whole number, got '1e3'"),
+        ("--runs", "two", "argument --runs: expected a whole number, got 'two'"),
+        ("--dt", "abc", "argument --dt: expected a number, got 'abc'"),
+    ],
+)
+def test_falsify_malformed_number_is_usage_error(capsys, option, value, message):
+    assert run_cli("falsify", "--model", "omm-v1", "--table", "omm-rt0", option, value) == 2
+    assert assert_one_usage_line(capsys.readouterr().err) == f"usage error: {message}\n"
+
+
 def test_falsify_unknown_model_is_usage_error(capsys):
     assert run_cli("falsify", "--model", "nope", "--table", "omm-rt0") == 2
     assert "'nope'" in assert_one_usage_line(capsys.readouterr().err)
