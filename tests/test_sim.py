@@ -171,6 +171,10 @@ def test_trace_csv_rejects_ragged_and_nonuniform(tmp_path):
     path.write_text("x,t\n0.0,1.0\n")
     with pytest.raises(TraceFormatError):
         read_trace_csv(str(path))
+    for body in ("t,x\n", "t,x\n\n0.0,1.0\n"):  # no rows, one row
+        path.write_text(body)
+        with pytest.raises(TraceFormatError, match="two samples"):
+            read_trace_csv(str(path))
 
 
 def test_trace_csv_must_start_at_zero(tmp_path):
