@@ -180,6 +180,58 @@ def test_comments_and_blank_lines_ignored():
     assert len(table.requirements) == 1
 
 
+# --- requirement rows --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "body, message, line",
+    [
+        ("req 1\n  post x > 0\n  pre x > 1\n", "'pre' out of order", 7),
+        ("req 1\n  pre x > 0\n  pre x > 1\n  post x > 0\n", "'pre' out of order", 7),
+        ("req 1\n  pre x > 0\n  post x > 0\n  dur 2\n", "'dur' out of order", 8),
+        ("req 1\n  post x > 0\n  action y = x\n  post x > 1\n", "'post' out of order", 8),
+        ("  dur 2\nreq 1\n  post x > 0\n", "'dur' outside of a req block", 5),
+        ("req one\n  post x > 0\n", "'req' takes an integer index", 5),
+        ("req 1.5\n  post x > 0\n", "'req' takes an integer index", 5),
+        ("init y = 1\nreq 1\n  post x > 0\n", "duplicate init for 'y'", 5),
+    ],
+    ids=[
+        "post-then-pre", "repeated-pre", "dur-after-post", "post-after-action",
+        "dur-outside-req", "word-index", "fractional-index", "duplicate-init",
+    ],
+)
+def test_requirement_row_syntax_errors(body, message, line):
+    with pytest.raises(TableSyntaxError, match=message) as err:
+        parse_table("table T\ninputs x\noutputs y\ninit y = 0\n" + body)
+    assert err.value.line == line
+
+
+def test_dash_cells_leave_fields_absent():
+    table = parse_table(
+        "table T\ninputs x\noutputs y\ninit y = 0\n"
+        "req 1\n  pre -\n  dur -\n  post -\n  action y = x\n"
+        "req 2\n  pre x > 0\n  dur -\n  post x > 1\n"
+    )
+    assert table.requirements[0] == Requirement(
+        index=1, actions=(Assignment("y", SignalRef("x")),)
+    )
+    req2 = table.requirements[1]
+    assert (req2.precondition, req2.duration) == (Rel(">", SignalRef("x"), Const(0.0)), None)
+
+
+def test_rows_may_skip_cells_and_keep_actions_in_order():
+    table = parse_table(
+        "table T\ninputs x\noutputs a, b, c\ninit a = 0\ninit b = 0\ninit c = 0\n"
+        "req 1\n  action c = x\n  action a = 1\n  action b = x * 2\n"
+        "req 2\n  pre x > 0\n  post x > 1\n"
+    )
+    req1, req2 = table.requirements
+    assert [a.target for a in req1.actions] == ["c", "a", "b"]
+    assert req1.actions[1] == Assignment("a", Const(1.0))
+    assert (req1.precondition, req1.duration, req1.postcondition) == (None, None, None)
+    assert (req2.duration, req2.actions) == (None, ())
+
+
 # --- expression syntax -------------------------------------------------------
 
 
