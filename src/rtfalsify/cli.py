@@ -53,14 +53,17 @@ EXIT_RUNTIME = 3
 EXIT_NFF = 10
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -106,10 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="ur",
         help="search algorithm: ur = uniform random, sa = simulated annealing",
     )
-    p_falsify.add_argument("--budget", type=_positive_int, default=1500, help="max iterations")
-    p_falsify.add_argument("--seed", type=int, default=0, help="random seed")
+    p_falsify.add_argument("--budget", type=_int_at_least(1), default=1500, help="max iterations")
+    p_falsify.add_argument("--seed", type=_int_at_least(0), default=0, help="random seed")
     p_falsify.add_argument(
-        "--runs", type=_positive_int, default=1, help="repeat with seeds seed, seed+1, ..."
+        "--runs", type=_int_at_least(1), default=1, help="repeat with seeds seed, seed+1, ..."
     )
     p_falsify.add_argument("--out", default="out", help="output directory (default out)")
     p_falsify.add_argument(

@@ -229,6 +229,8 @@ class SearchConfig:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -218,6 +218,17 @@ def test_falsify_malformed_number_is_usage_error(capsys, option, value, message)
     assert assert_one_usage_line(capsys.readouterr().err) == f"usage error: {message}\n"
 
 
+def test_falsify_negative_seed_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run_cli(
+        "falsify", "--model", "omm-v1", "--table", "omm-rt0", "--budget", "5",
+        "--seed", "-1", "--out", str(out),
+    )
+    assert code == 2
+    assert assert_one_usage_line(capsys.readouterr().err).startswith("usage error: argument --seed: ")
+    assert not out.exists()
+
+
 def test_falsify_unknown_model_is_usage_error(capsys):
     assert run_cli("falsify", "--model", "nope", "--table", "omm-rt0") == 2
     assert "'nope'" in assert_one_usage_line(capsys.readouterr().err)

@@ -290,6 +290,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(algorithm="hill-climbing")
     with pytest.raises(ValueError):
+        SearchConfig(seed=-1)
+    with pytest.raises(ValueError):
         SAConfig(cooling=1.0)
     with pytest.raises(ValueError):
         SAConfig(proposal_scale=0.0)
