@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, replace
 from typing import Sequence
 
 from .expr import EvalError
@@ -223,20 +224,8 @@ def _build_run_setup(args: argparse.Namespace) -> tuple[ParameterizedInput, Sear
         "budget": args.budget,
         "base_seed": args.seed,
         "runs": args.runs,
-        "sa": {
-            "initial_temperature": sa.initial_temperature,
-            "cooling": sa.cooling,
-            "proposal_scale": sa.proposal_scale,
-        },
-        "inputs": [
-            {
-                "name": s.name,
-                "lower": s.lower,
-                "upper": s.upper,
-                "discontinuities": s.discontinuities,
-            }
-            for s in pi.shapes
-        ],
+        "sa": asdict(sa),
+        "inputs": [asdict(s) for s in pi.shapes],
         "horizon": horizon,
         "dt": dt,
     }
@@ -259,6 +248,10 @@ def _result_payload(result: FalsificationResult, pi: ParameterizedInput, seed: i
     }
 
 
+# the fields of a result file that summary.json repeats for each run, in its order
+_SUMMARY_KEYS = ("seed", "verdict", "iterations", "best_fitness", "violated_requirements")
+
+
 def cmd_falsify(args: argparse.Namespace) -> int:
     table = _load_table_arg(args.table)
     pi, base_cfg, echo = _build_run_setup(args)
@@ -270,24 +263,20 @@ def cmd_falsify(args: argparse.Namespace) -> int:
     any_tc = False
     for i in range(args.runs):
         seed = args.seed + i
-        cfg = SearchConfig(
-            algorithm=base_cfg.algorithm, budget=base_cfg.budget, seed=seed, sa=base_cfg.sa
-        )
-        result = falsify(model, automaton, pi, cfg)
+        result = falsify(model, automaton, pi, replace(base_cfg, seed=seed))
         any_tc = any_tc or result.failure_found
 
         suffix = f"_{i + 1}" if args.runs > 1 else ""
-        result_path = os.path.join(args.out, f"result{suffix}.json")
-        with open(result_path, "w", encoding="utf-8") as fh:
-            json.dump(_result_payload(result, pi, seed, echo), fh, indent=2, allow_nan=False)
+        result_file = f"result{suffix}.json"
+        payload = _result_payload(result, pi, seed, echo)
+        with open(os.path.join(args.out, result_file), "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
-        artifacts = [result_path]
         if result.failure_found:
             trace_path = os.path.join(args.out, f"testcase_trace{suffix}.csv")
             degrees_path = os.path.join(args.out, f"testcase_degrees{suffix}.csv")
             write_trace_csv(result.best_evaluation.trace, trace_path)
             write_degree_csv(result.best_evaluation.run, degrees_path)
-            artifacts += [trace_path, degrees_path]
 
         violated = ", ".join(str(v) for v in result.violated) or "-"
         print(
@@ -296,14 +285,7 @@ def cmd_falsify(args: argparse.Namespace) -> int:
             f"fitness {format_fitness(result.best_fitness)}, violated [{violated}]"
         )
         summaries.append(
-            {
-                "seed": seed,
-                "verdict": result.verdict,
-                "iterations": result.iterations,
-                "best_fitness": _json_value(result.best_fitness),
-                "violated_requirements": list(result.violated),
-                "result_file": os.path.basename(result_path),
-            }
+            {key: payload[key] for key in _SUMMARY_KEYS} | {"result_file": result_file}
         )
 
     if args.runs > 1:

@@ -43,7 +43,6 @@ import numpy as np
 from .expr import degree, eval_arith, eval_bool  # noqa: F401
 from .expr import (
     ArrayEnv,
-    BoolExpr,
     DivisionByZeroError,
     arith_array,
     degree_array,
@@ -52,7 +51,7 @@ from .expr import (
 )
 from .sim import SignalMismatchError, Trace, write_csv_columns
 from .table import (
-    Assignment,
+    Requirement,
     RequirementsTable,
     TableValidationError,
     prev_signals,
@@ -95,29 +94,12 @@ class UndefinedDegreeError(MonitorError):
 
 
 @dataclass(frozen=True)
-class CompiledRequirement:
-    """One requirement ready for execution: guard, timer, degree source, actions."""
-
-    index: int
-    guard: BoolExpr | None  # None means always satisfied
-    duration: float | None
-    postcondition: BoolExpr | None
-    actions: tuple[Assignment, ...]
-
-    @property
-    def has_waiting_phase(self) -> bool:
-        """True when the machine can dwell in WT; a zero duration elapses at entry."""
-        return self.duration is not None and self.duration > 0
-
-
-@dataclass(frozen=True)
 class MonitorAutomaton:
     """Immutable compiled table: one parallel machine per requirement."""
 
-    name: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    requirements: tuple[CompiledRequirement, ...]
+    requirements: tuple[Requirement, ...]
     prev_signals: tuple[str, ...]
     initial_values: dict[str, float]
 
@@ -146,19 +128,9 @@ def compile_table(table: RequirementsTable) -> MonitorAutomaton:
     if diagnostics:
         raise TableValidationError(diagnostics)
     return MonitorAutomaton(
-        name=table.name,
         inputs=table.inputs,
         outputs=table.outputs,
-        requirements=tuple(
-            CompiledRequirement(
-                index=req.index,
-                guard=req.precondition,
-                duration=req.duration,
-                postcondition=req.postcondition,
-                actions=req.actions,
-            )
-            for req in table.requirements
-        ),
+        requirements=table.requirements,
         prev_signals=prev_signals(table),
         initial_values=dict(table.initial_values),
     )
@@ -325,11 +297,11 @@ class _Engine:
         self._raise_first(guard_errors, times)
         return values
 
-    def _guard(self, i: int, req: CompiledRequirement, env: ArrayEnv) -> np.ndarray:
-        if req.guard is None:
+    def _guard(self, i: int, req: Requirement, env: ArrayEnv) -> np.ndarray:
+        if req.precondition is None:  # an absent precondition always holds
             return np.ones(self.shape, dtype=bool)
         env.zero_division = False
-        holds = _broadcast(holds_array(req.guard, env), self.shape)
+        holds = _broadcast(holds_array(req.precondition, env), self.shape)
         self._note_division(env, (0, i))
         return holds
 
@@ -406,14 +378,14 @@ def _conflict(target: str, current: np.ndarray, value: np.ndarray):
     return make
 
 
-def _postcondition_active(guard: np.ndarray, req: CompiledRequirement, times) -> np.ndarray:
+def _postcondition_active(guard: np.ndarray, req: Requirement, times) -> np.ndarray:
     """The POA mask: where the guard holds and, with a duration, has held long enough.
 
     A positive duration starts timing at the first step of each run of
     guard-true steps (the WT entry) and reaches POA on a later step of the
     run once the elapsed time, less a dt-scaled tolerance, reaches it.
     """
-    if not req.has_waiting_phase:
+    if not req.duration:  # no WT phase: a zero duration elapses at entry
         return guard
     entry = guard.copy()
     entry[:, 1:] &= ~guard[:, :-1]

@@ -355,7 +355,6 @@ class ModelPreset:
     input_bounds: dict[str, tuple[float, float]]
     horizon: float
     dt: float
-    description: str = ""
 
 
 _OMM_BOUNDS = {"u1": (-100.0, 100.0), "u2": (-100.0, 100.0)}
@@ -369,7 +368,6 @@ MODEL_PRESETS: dict[str, ModelPreset] = {
             input_bounds=dict(_OMM_BOUNDS),
             horizon=10.0,
             dt=0.5,
-            description="gain model, no cross gains",
         ),
         ModelPreset(
             name="omm-v1",
@@ -377,7 +375,6 @@ MODEL_PRESETS: dict[str, ModelPreset] = {
             input_bounds=dict(_OMM_BOUNDS),
             horizon=10.0,
             dt=0.5,
-            description="0.01 gain from input 1 into output 2",
         ),
         ModelPreset(
             name="omm-v2",
@@ -385,7 +382,6 @@ MODEL_PRESETS: dict[str, ModelPreset] = {
             input_bounds=dict(_OMM_BOUNDS),
             horizon=10.0,
             dt=0.5,
-            description="0.01 cross gains in both directions",
         ),
         ModelPreset(
             name="omm-v3",
@@ -393,7 +389,6 @@ MODEL_PRESETS: dict[str, ModelPreset] = {
             input_bounds=dict(_OMM_BOUNDS),
             horizon=10.0,
             dt=0.5,
-            description="0.01 gain into output 2, 0.1 gain into output 1",
         ),
         ModelPreset(
             name="plant-demo",
@@ -401,7 +396,6 @@ MODEL_PRESETS: dict[str, ModelPreset] = {
             input_bounds={"F_s": (3.5, 4.5)},
             horizon=35.0,
             dt=0.01,
-            description="PI-controlled pressure plant demo",
         ),
     )
 }

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .expr import (
@@ -332,36 +332,14 @@ def load_table(path: str) -> RequirementsTable:
     return parse_table(text)
 
 
-class _Block:
-    """Mutable requirement row being assembled by the parser."""
-
-    def __init__(self, index: int, line: int):
-        self.index = index
-        self.line = line
-        self.stage = 0  # pre < dur < post < action
-        self.precondition: BoolExpr | None = None
-        self.duration: float | None = None
-        self.postcondition: BoolExpr | None = None
-        self.actions: list[Assignment] = []
-
-    def build(self) -> Requirement:
-        return Requirement(
-            index=self.index,
-            precondition=self.precondition,
-            duration=self.duration,
-            postcondition=self.postcondition,
-            actions=tuple(self.actions),
-        )
-
-
 def _parse_structure(text: str) -> RequirementsTable:
     name: str | None = None
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
     initial_values: dict[str, float] = {}
-    blocks: list[_Block] = []
+    requirements: list[Requirement] = []
     section = 0  # 0: expect table, 1: inputs ok, 2: outputs ok, 3: init ok, 4: reqs
-    current: _Block | None = None
+    stage = 0  # cells of the current req: pre < dur < post < action
 
     line_re = re.compile(r"\s*(\S+)\s*(.*?)\s*$")
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -402,55 +380,50 @@ def _parse_structure(text: str) -> RequirementsTable:
             initial_values[sig] = _parse_number(value, line_no, rest_col)
         elif keyword == "req":
             section = 4
-            if current is not None:
-                blocks.append(current)
             try:
                 index = int(rest)
             except ValueError:
                 raise TableSyntaxError("'req' takes an integer index", line_no, rest_col) from None
-            current = _Block(index, line_no)
-        elif keyword in ("pre", "dur", "post", "action"):
-            if current is None:
+            requirements.append(Requirement(index))
+            stage = 0
+        elif keyword in _STAGES:
+            if not requirements:
                 raise TableSyntaxError(f"'{keyword}' outside of a req block", line_no)
-            _parse_req_line(current, keyword, rest, line_no, rest_col)
+            if _STAGES[keyword] < stage or (_STAGES[keyword] == stage and keyword != "action"):
+                raise TableSyntaxError(
+                    f"'{keyword}' out of order (expected pre, dur, post, then actions)", line_no
+                )
+            stage = _STAGES[keyword]
+            requirements[-1] = _parse_cell(requirements[-1], keyword, rest, line_no, rest_col)
         else:
             raise TableSyntaxError(f"unknown keyword {keyword!r}", line_no)
 
     if name is None:
         raise TableSyntaxError("file must start with 'table <name>'", max(1, text.count("\n") + 1))
-    if current is not None:
-        blocks.append(current)
     return RequirementsTable(
         name=name,
         inputs=inputs,
         outputs=outputs,
         initial_values=initial_values,
-        requirements=tuple(b.build() for b in blocks),
+        requirements=tuple(requirements),
     )
 
 
 _STAGES = {"pre": 1, "dur": 2, "post": 3, "action": 4}
 
 
-def _parse_req_line(block: _Block, keyword: str, rest: str, line_no: int, col: int) -> None:
-    stage = _STAGES[keyword]
-    if stage < block.stage or (stage == block.stage and keyword != "action"):
-        raise TableSyntaxError(
-            f"'{keyword}' out of order (expected pre, dur, post, then actions)", line_no
-        )
-    block.stage = stage
-    if keyword == "pre":
-        if rest != "-":
-            block.precondition = parse_bool_expr(rest, line_no, col)
-    elif keyword == "dur":
-        if rest != "-":
-            block.duration = _parse_number(rest, line_no, col)
-    elif keyword == "post":
-        if rest != "-":
-            block.postcondition = parse_bool_expr(rest, line_no, col)
-    else:  # action
+def _parse_cell(req: Requirement, keyword: str, rest: str, line_no: int, col: int) -> Requirement:
+    """``req`` with one more cell; a ``-`` cell leaves its field absent."""
+    if keyword == "action":
         target, value = _parse_binding(rest, line_no, col)
-        block.actions.append(Assignment(target, parse_arith_expr(value, line_no, col)))
+        action = Assignment(target, parse_arith_expr(value, line_no, col))
+        return replace(req, actions=(*req.actions, action))
+    if rest == "-":
+        return req
+    if keyword == "dur":
+        return replace(req, duration=_parse_number(rest, line_no, col))
+    cell = parse_bool_expr(rest, line_no, col)
+    return replace(req, precondition=cell) if keyword == "pre" else replace(req, postcondition=cell)
 
 
 def _parse_name_list(rest: str, line_no: int, col: int) -> tuple[str, ...]:

@@ -42,14 +42,16 @@ def simple_table(text):
 def test_compile_sc_machines(sc_table):
     automaton = compile_table(sc_table)
     assert len(automaton.requirements) == 3
-    assert [r.has_waiting_phase for r in automaton.requirements] == [False, False, True]
+    assert [r.duration for r in automaton.requirements] == [None, None, 5.0]
+    # the machines run the table's own rows, not copies
+    assert all(a is b for a, b in zip(automaton.requirements, sc_table.requirements, strict=True))
     assert automaton.prev_signals == ("F_s",)
 
 
 def test_compile_unconditioned_requirement_has_true_guard():
     automaton = simple_table("table T\ninputs x\nreq 1\n  post x > 0\n")
     assert len(automaton.requirements) == 1
-    assert automaton.requirements[0].guard is None
+    assert automaton.requirements[0].precondition is None
 
 
 # --- phases -------------------------------------------------------------------
