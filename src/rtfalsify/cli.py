@@ -67,14 +67,31 @@ def _int_at_least(low: int):
     return parse
 
 
-def _positive_float(text: str) -> float:
+def _float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+
+
+def _positive_float(text: str) -> float:
+    value = _float(text)
     if not (0 < value < math.inf):
         raise argparse.ArgumentTypeError("must be finite and > 0")
     return value
+
+
+def _fraction(*, one_allowed: bool):
+    """A number in (0, 1), or in (0, 1] when ``one_allowed``; NaN is never inside."""
+    interval = "(0, 1]" if one_allowed else "(0, 1)"
+
+    def parse(text: str) -> float:
+        value = _float(text)
+        if not (0 < value < 1 or (one_allowed and value == 1)):
+            raise argparse.ArgumentTypeError(f"must be in {interval}, got {text!r}")
+        return value
+
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_falsify.add_argument("--horizon", type=_positive_float, help="trace horizon in seconds")
     p_falsify.add_argument("--dt", type=_positive_float, help="trace step size in seconds")
     p_falsify.add_argument("--sa-temp", type=_positive_float, default=1.0)
-    p_falsify.add_argument("--sa-cooling", type=float, default=0.97)
-    p_falsify.add_argument("--sa-scale", type=float, default=0.1)
+    p_falsify.add_argument("--sa-cooling", type=_fraction(one_allowed=False), default=0.97)
+    p_falsify.add_argument("--sa-scale", type=_fraction(one_allowed=True), default=0.1)
     return parser
 
 

@@ -8,12 +8,14 @@ negative (a failure-revealing test case, verdict TC); exhausting the budget
 yields verdict NFF. Both algorithms are fully reproducible from the seed.
 
 Uniform random search evaluates its candidates through the array engine in
-batches of up to BATCH_SAMPLES candidate-samples, the last one cut at the
-budget. It records the same history as drawing and evaluating them one at a
-time, because one draw of n rows yields the same numbers as n draws of one
-row, and the history stops at the first test case. The candidates after it
-in the same batch were still simulated and monitored; they never enter the
-history.
+batches of up to BATCH_SAMPLES (2^12) candidate-samples, the last one cut at
+the budget: 195 candidates of a 21-sample trace, and one candidate of a
+trace longer than 2^12 samples. It records the same history as drawing and
+evaluating them one at a time, because one draw of n rows yields the same
+numbers as n draws of one row, and the history stops at the first test case.
+The candidates after it in the same batch were still simulated and
+monitored; they never enter the history. Simulated annealing is sequential
+and evaluates one candidate per batch.
 """
 
 from __future__ import annotations
@@ -41,12 +43,15 @@ INF = math.inf
 # stand-in for an infinite fitness inside Metropolis arithmetic
 VACUOUS_PENALTY = 1e15
 
-# most candidate-samples in one uniform-random batch (48 candidates of a
+# most candidate-samples in one uniform-random batch (195 candidates of a
 # 21-sample trace, at least one candidate); every batch but the budget's last
-# is full, so a search evaluates at most one batch past its first test case. A
-# batch this size still costs mostly its fixed part, so larger batches run
-# faster, but they hold more memory at once
-BATCH_SAMPLES = 1 << 10
+# is full, so a search evaluates at most one batch past its first test case.
+# A batch has a fixed cost of about 100 us; per candidate, batches of 195 to
+# 390 cost least, and larger ones cost more again as their temporaries outgrow
+# the cache. Of 2^10..2^13, this size runs acceptance criterion 5's grid
+# fastest, since a larger batch also wastes more candidates past an early test
+# case (BENCH_6.json)
+BATCH_SAMPLES = 1 << 12
 
 UNIFORM_RANDOM = "uniform-random"
 SIMULATED_ANNEALING = "simulated-annealing"

@@ -229,6 +229,51 @@ def test_falsify_negative_seed_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "option, value, interval",
+    [
+        ("--sa-cooling", "1.5", "(0, 1)"),
+        ("--sa-cooling", "1", "(0, 1)"),
+        ("--sa-cooling", "0", "(0, 1)"),
+        ("--sa-cooling", "nan", "(0, 1)"),
+        ("--sa-cooling", "inf", "(0, 1)"),
+        ("--sa-scale", "nan", "(0, 1]"),
+        ("--sa-scale", "1.5", "(0, 1]"),
+        ("--sa-scale", "0", "(0, 1]"),
+        ("--sa-scale", "-0.5", "(0, 1]"),
+        ("--sa-scale", "inf", "(0, 1]"),
+    ],
+)
+def test_falsify_sa_option_out_of_range_names_the_option(tmp_path, capsys, option, value, interval):
+    out = tmp_path / "run"
+    code = run_cli(
+        "falsify", "--model", "omm-v1", "--table", "omm-rt0", "--algo", "ur", "--budget", "5",
+        "--out", str(out), option, value,
+    )
+    assert code == 2
+    err = assert_one_usage_line(capsys.readouterr().err)
+    assert err == f"usage error: argument {option}: must be in {interval}, got {value!r}\n"
+    assert not out.exists()  # rejected before any search or output file
+
+
+def test_falsify_sa_option_malformed_number_names_the_option(capsys):
+    code = run_cli("falsify", "--model", "omm-v1", "--table", "omm-rt0", "--sa-scale", "big")
+    assert code == 2
+    err = assert_one_usage_line(capsys.readouterr().err)
+    assert err == "usage error: argument --sa-scale: expected a number, got 'big'\n"
+
+
+def test_falsify_accepts_sa_scale_one(tmp_path):
+    out = tmp_path / "run"
+    code = run_cli(
+        "falsify", "--model", "omm-v1", "--table", "omm-rt0", "--algo", "sa", "--budget", "5",
+        "--sa-cooling", "0.5", "--sa-scale", "1", "--out", str(out),
+    )
+    assert code in (0, 10)
+    config = json.loads((out / "result.json").read_text())["config"]
+    assert config["sa"] == {"initial_temperature": 1.0, "cooling": 0.5, "proposal_scale": 1.0}
+
+
 def test_falsify_unknown_model_is_usage_error(capsys):
     assert run_cli("falsify", "--model", "nope", "--table", "omm-rt0") == 2
     assert "'nope'" in assert_one_usage_line(capsys.readouterr().err)

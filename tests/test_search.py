@@ -375,8 +375,10 @@ def search_outcome(model, automaton, pi, cfg):
 
 
 def test_uniform_results_do_not_depend_on_batch_size(monkeypatch, omm_pi, omm_tables):
-    # omm-v1 x omm-rt0: seed 5 meets its test case inside the first full batch, 10 on
-    # its last candidate, 4 in the second batch, 1 later; seed 11 exhausts the budget
+    # omm-v1 x omm-rt0 (21-sample traces): at the default 195 candidates a batch, seeds 5,
+    # 10 and 4 meet their test case in the first batch and 1 in the second; at 2^10
+    # candidate-samples (48 candidates) 10 meets it on a batch's last candidate and 4 in
+    # the second batch; at 2^13 (390) all four do in the first; seed 11 exhausts the budget
     cases = [
         (make_model("omm-v1"), compile_table(omm_tables[0]), omm_pi, seed, 1500)
         for seed in (5, 10, 4, 1, 11)
@@ -388,29 +390,53 @@ def test_uniform_results_do_not_depend_on_batch_size(monkeypatch, omm_pi, omm_ta
         for seed in range(8)
         for threshold in (8.5, 9.0)
     ]
-    default = [search_outcome(m, a, p, SearchConfig(budget=b, seed=s)) for m, a, p, s, b in cases]
-    monkeypatch.setattr(search, "BATCH_SAMPLES", 1)  # one candidate per batch
-    single = [search_outcome(m, a, p, SearchConfig(budget=b, seed=s)) for m, a, p, s, b in cases]
-    assert single == default
+
+    def outcomes():
+        return [search_outcome(m, a, p, SearchConfig(budget=b, seed=s)) for m, a, p, s, b in cases]
+
+    default = outcomes()
+    for batch_samples in (1, 1 << 10, 1 << 13):  # 1: one candidate per batch
+        monkeypatch.setattr(search, "BATCH_SAMPLES", batch_samples)
+        assert outcomes() == default, batch_samples
     assert [o[:2] for o in default[:5]] == [
         ("TC", 32), ("TC", 48), ("TC", 64), ("TC", 303), ("NFF", 1500)
     ]
     assert {o[0] for o in default[5:]} == {"TC", "error"}
 
 
-def test_uniform_search_draws_full_batches(monkeypatch, omm_pi, omm_tables):
-    calls = []
+@pytest.fixture()
+def batch_sizes(monkeypatch):
+    """The number of candidates in each batch the search evaluates, in order."""
+    sizes = []
     evaluate_batch = search._evaluate_batch
 
     def counting(model, automaton, pi, params):
-        calls.append(len(params))
+        sizes.append(len(params))
         return evaluate_batch(model, automaton, pi, params)
 
     monkeypatch.setattr(search, "_evaluate_batch", counting)
+    return sizes
+
+
+def test_uniform_search_draws_full_batches(batch_sizes, omm_pi, omm_tables):
     budget = 1500
     cfg = SearchConfig(budget=budget, seed=11)
     result = falsify(make_model("omm-v1"), omm_tables[0], omm_pi, cfg)
     assert result.verdict == "NFF"
     max_rows = search.BATCH_SAMPLES // omm_pi.times.size
-    assert len(calls) == math.ceil(budget / max_rows)
-    assert calls[:-1] == [max_rows] * (len(calls) - 1) and sum(calls) == budget
+    assert len(batch_sizes) == math.ceil(budget / max_rows)
+    assert batch_sizes[:-1] == [max_rows] * (len(batch_sizes) - 1) and sum(batch_sizes) == budget
+
+
+@pytest.mark.parametrize("batch_samples", [None, 1 << 10, 1 << 7])  # None: the default
+@pytest.mark.parametrize("seed, tc_at", [(5, 32), (10, 48), (4, 64)])
+def test_uniform_search_stops_within_one_batch_of_its_test_case(
+    monkeypatch, batch_sizes, omm_pi, omm_tables, batch_samples, seed, tc_at
+):
+    if batch_samples is not None:
+        monkeypatch.setattr(search, "BATCH_SAMPLES", batch_samples)
+    result = falsify(make_model("omm-v1"), omm_tables[0], omm_pi, SearchConfig(seed=seed))
+    assert (result.verdict, result.iterations) == ("TC", tc_at)
+    max_rows = search.BATCH_SAMPLES // omm_pi.times.size
+    assert sum(batch_sizes) <= result.iterations + max_rows - 1
+    assert batch_sizes[:-1] == [max_rows] * (len(batch_sizes) - 1)
