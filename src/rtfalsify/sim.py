@@ -183,14 +183,12 @@ class PlantDemoModel(SystemModel):
     The steam flow F_s drives the pressure state up, the controller drives
     it back toward the setpoint, and the temperature output is an algebraic
     blend of pressure and flow. Forward-Euler integration; intended for
-    traces with dt around the 0.01 s default. Not a physical model, just a
-    bounded, falsifiable demo plant.
+    traces with dt around the plant-demo preset's 0.01 s. Not a physical
+    model, just a bounded, falsifiable demo plant.
     """
 
     inputs = ("F_s",)
     outputs = ("T_s", "P_s")
-
-    default_dt = 0.01
 
     def __init__(
         self,

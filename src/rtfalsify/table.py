@@ -19,9 +19,10 @@ The textual format (``.rt`` files, UTF-8, ``#`` comments) is line oriented:
 
 A ``-`` cell means absent: an absent precondition is always satisfied, an
 absent duration means the postcondition is checked as soon as the
-precondition holds. Expressions use ``& | ~``, the relational operators
-``> < >= <= == !=``, arithmetic ``+ - * /``, ``prev(name)`` and the
-reserved time variable ``t``.
+precondition holds. Expression operators, loosest first: ``|``, ``&``, ``~``,
+the non-associative relations ``> < >= <= == !=``, ``+ -``, ``* /``, unary
+``-``. Operands are numbers, signal names, ``prev(name)`` and the reserved
+time variable ``t``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .expr import (
+    REL_OPS,
     And,
     ArithExpr,
     BinaryArith,
@@ -122,7 +124,10 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_REL_TOKENS = frozenset((">", "<", ">=", "<=", "==", "!="))
+# binding power of each binary operator, all left-associative; a chained
+# relation fails the operand check, since a condition is not arithmetic
+_PRECEDENCE = {"|": 1, "&": 2, **dict.fromkeys(REL_OPS, 3), "+": 4, "-": 4, "*": 5, "/": 5}
+_CONDITIONS = (Rel, And, Or, Not)
 
 
 class _Token:
@@ -135,13 +140,14 @@ class _Token:
 
 
 class _ExprParser:
-    """Recursive-descent parser for one expression cell.
+    """Precedence-climbing parser for one expression cell.
 
-    Parenthesised sub-expressions are tried as boolean groups first and
-    reparsed as arithmetic groups on failure, so ``(a > b) & c > d`` and
-    ``(a + b) > c`` both work without a separate grammar level. Groups,
-    ``~`` and unary minus may nest at most MAX_NESTING deep, and so may the
-    finished tree.
+    One loop reads the binary operators of ``_PRECEDENCE``; ``_prefix`` reads
+    groups, ``~``, unary minus and atoms. A group is parsed once, whatever it
+    holds, and each operator checks the kind of its operands as it combines
+    them: ``& | ~`` take conditions, relations and ``+ - * /`` take
+    arithmetic. Groups, ``~`` and unary minus may nest at most MAX_NESTING
+    deep, and so may the finished tree.
     """
 
     def __init__(self, text: str, line: int, column_offset: int = 1):
@@ -177,13 +183,6 @@ class _ExprParser:
         finally:
             self.nesting -= 1
 
-    def _shallow(self, e):
-        if depth(e) > MAX_NESTING:
-            raise TableSyntaxError(
-                f"expression nested deeper than {MAX_NESTING} levels", self.line, self.column_offset
-            )
-        return e
-
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
@@ -199,92 +198,62 @@ class _ExprParser:
         if tok.text != text:
             raise TableSyntaxError(f"expected {text!r}, found {tok.text!r}", self.line, tok.column)
 
-    def _at_op(self, *texts: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == "op" and tok.text in texts
+    def _check(self, e, condition: bool, op: _Token | None):
+        """``e`` if it is a condition exactly when one is wanted; a missing one is
+        reported where its relational operator should be, a misplaced one at ``op``."""
+        if isinstance(e, _CONDITIONS) == condition:
+            return e
+        if condition:
+            tok = self._peek()
+            col = tok.column if tok is not None else self.end_column
+            raise TableSyntaxError("expected relational operator", self.line, col)
+        col = op.column if op is not None else self.column_offset
+        raise TableSyntaxError("expected an arithmetic operand, found a condition", self.line, col)
 
-    def _done(self) -> None:
+    def parse(self, condition: bool):
+        # an arithmetic cell binds only arithmetic operators, so a stray
+        # relation or connective is reported where it stands
+        e = self._check(self._expr(1 if condition else _PRECEDENCE["+"]), condition, None)
         tok = self._peek()
         if tok is not None:
             raise TableSyntaxError(f"unexpected {tok.text!r}", self.line, tok.column)
-
-    def parse_bool(self) -> BoolExpr:
-        e = self._or()
-        self._done()
-        return self._shallow(e)
-
-    def parse_arith(self) -> ArithExpr:
-        e = self._arith()
-        self._done()
-        return self._shallow(e)
-
-    def _or(self) -> BoolExpr:
-        e = self._and()
-        while self._at_op("|"):
-            self._next()
-            e = Or(e, self._and())
+        if depth(e) > MAX_NESTING:
+            raise TableSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels", self.line, self.column_offset
+            )
         return e
 
-    def _and(self) -> BoolExpr:
-        e = self._not()
-        while self._at_op("&"):
-            self._next()
-            e = And(e, self._not())
+    def _expr(self, min_precedence: int):
+        e = self._prefix()
+        while (op := self._peek()) is not None and _PRECEDENCE.get(op.text, 0) >= min_precedence:
+            condition = op.text in ("&", "|")
+            self._check(e, condition, op)
+            self.pos += 1
+            rhs = self._check(self._expr(_PRECEDENCE[op.text] + 1), condition, op)
+            if condition:
+                e = (And if op.text == "&" else Or)(e, rhs)
+            else:
+                e = (Rel if op.text in REL_OPS else BinaryArith)(op.text, e, rhs)
         return e
 
-    def _not(self) -> BoolExpr:
-        if self._at_op("~"):
-            with self._nested(self._next()):
-                return Not(self._not())
-        if self._at_op("("):
-            saved = self.pos
-            try:
-                with self._nested(self._next()):
-                    e = self._or()
-                    self._expect(")")
-                return e
-            except TableSyntaxError:
-                self.pos = saved  # reparse as a parenthesised arithmetic operand
-        return self._relation()
-
-    def _relation(self) -> BoolExpr:
-        lhs = self._arith()
-        tok = self._peek()
-        if tok is None or tok.text not in _REL_TOKENS:
-            col = tok.column if tok is not None else self.end_column
-            raise TableSyntaxError("expected relational operator", self.line, col)
-        self._next()
-        return Rel(tok.text, lhs, self._arith())
-
-    def _arith(self) -> ArithExpr:
-        e = self._term()
-        while self._at_op("+", "-"):
-            op = self._next().text
-            e = BinaryArith(op, e, self._term())
-        return e
-
-    def _term(self) -> ArithExpr:
-        e = self._factor()
-        while self._at_op("*", "/"):
-            op = self._next().text
-            e = BinaryArith(op, e, self._factor())
-        return e
-
-    def _factor(self) -> ArithExpr:
-        if self._at_op("("):
-            with self._nested(self._next()):
-                e = self._arith()
+    def _prefix(self):
+        tok = self._next()
+        if tok.text == "(":
+            with self._nested(tok):
+                e = self._expr(1)
                 self._expect(")")
             return e
-        if self._at_op("-"):
-            with self._nested(self._next()):
-                operand = self._factor()
+        if tok.text == "~":  # binds looser than relations, tighter than &
+            with self._nested(tok):
+                return Not(self._check(self._expr(_PRECEDENCE[">"]), True, tok))
+        if tok.text == "-":
+            with self._nested(tok):
+                operand = self._check(self._prefix(), False, tok)
             if isinstance(operand, Const):
                 return Const(-operand.value)
             return BinaryArith("-", Const(0.0), operand)
-        tok = self._next()
         if tok.kind == "num":
-            return Const(float(tok.text))
+            return Const(_parse_number(tok.text, self.line, tok.column))
         if tok.kind == "ident":
             if tok.text == "prev":
                 self._expect("(")
@@ -300,11 +269,11 @@ class _ExprParser:
 
 
 def parse_bool_expr(text: str, line: int = 1, column_offset: int = 1) -> BoolExpr:
-    return _ExprParser(text, line, column_offset).parse_bool()
+    return _ExprParser(text, line, column_offset).parse(condition=True)
 
 
 def parse_arith_expr(text: str, line: int = 1, column_offset: int = 1) -> ArithExpr:
-    return _ExprParser(text, line, column_offset).parse_arith()
+    return _ExprParser(text, line, column_offset).parse(condition=False)
 
 
 # --- table parsing --------------------------------------------------------

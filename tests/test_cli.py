@@ -54,6 +54,21 @@ def test_check_syntax_failure(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("(x > 1 | x >) & x > 3", "line 4, column 20: unexpected ')'"),
+        ("x > 1e400", "line 4, column 12: number must be finite, got '1e400'"),
+    ],
+    ids=["misplaced-paren", "infinite-literal"],
+)
+def test_check_expression_error_is_one_located_line(tmp_path, capsys, cell, message):
+    path = tmp_path / "cell.rt"
+    path.write_text(f"table T\ninputs x\nreq 1\n  post {cell}\n")
+    assert run_cli("check", str(path)) == 2
+    assert capsys.readouterr().err == f"syntax error: {message}\n"
+
+
 def test_check_missing_file_is_runtime_error(capsys):
     assert run_cli("check", "/definitely/not/there.rt") == 3
 

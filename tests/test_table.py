@@ -20,6 +20,9 @@ from rtfalsify.table import (
 )
 from oracle import random_table
 
+A, B, ZERO = SignalRef("a"), SignalRef("b"), Const(0.0)
+NEG_X = BinaryArith("-", ZERO, SignalRef("x"))
+
 SC_TEXT = """
 table SC
 inputs F_s, T_s, P_s
@@ -194,10 +197,14 @@ def test_comments_and_blank_lines_ignored():
         ("req one\n  post x > 0\n", "'req' takes an integer index", 5),
         ("req 1.5\n  post x > 0\n", "'req' takes an integer index", 5),
         ("init y = 1\nreq 1\n  post x > 0\n", "duplicate init for 'y'", 5),
+        ("req 1\n  post x > 1e400\n", "number must be finite", 6),
+        ("req 1\n  post x < 1e400 - 1e400 + 5\n", "number must be finite", 6),
+        ("req 1\n  action y = -1e999\n", "number must be finite", 6),
     ],
     ids=[
         "post-then-pre", "repeated-pre", "dur-after-post", "post-after-action",
         "dur-outside-req", "word-index", "fractional-index", "duplicate-init",
+        "infinite-literal", "nan-by-arithmetic", "infinite-action-literal",
     ],
 )
 def test_requirement_row_syntax_errors(body, message, line):
@@ -268,6 +275,47 @@ def test_left_associativity():
     )
 
 
+@pytest.mark.parametrize(
+    "kind, text, expected",
+    [
+        ("bool", "~(a + b) > 0", Not(Rel(">", BinaryArith("+", A, B), ZERO))),
+        ("bool", "~~a > 0", Not(Not(Rel(">", A, ZERO)))),
+        ("arith", "--5", Const(5.0)),
+        ("bool", "-x * 2 > 0", Rel(">", BinaryArith("*", NEG_X, Const(2.0)), ZERO)),
+        ("bool", "a - -1 > 0", Rel(">", BinaryArith("-", A, Const(-1.0)), ZERO)),
+        ("bool", "a > b > c", None),
+        ("bool", "(a > 1) + 2 > 0", None),
+        ("bool", "(x > 0 & y) > 1", None),
+        ("bool", "~(a + b)", None),
+        ("arith", "x > 1", None),  # action y = x > 1
+    ],
+    ids=lambda v: v if isinstance(v, str) else ("error" if v is None else "parses"),
+)
+def test_expression_corner_cases(kind, text, expected):
+    """``expected`` None means a syntax error."""
+    parse = parse_bool_expr if kind == "bool" else parse_arith_expr
+    if expected is None:
+        with pytest.raises(TableSyntaxError):
+            parse(text)
+    else:
+        assert parse(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text, column, message",
+    [
+        ("(a > 1 | b >) & c > 3", 13, "unexpected ')'"),
+        ("(a > 1 | b > 2 & c > 3", 23, "end of expression"),
+        ("((a + b) > 1", 13, "end of expression"),
+    ],
+)
+def test_expression_error_location(text, column, message):
+    with pytest.raises(TableSyntaxError) as err:
+        parse_bool_expr(text)
+    assert err.value.column == column
+    assert message in str(err.value)
+
+
 # --- round trips and fuzz ----------------------------------------------------
 
 
@@ -291,6 +339,21 @@ def test_parser_never_panics(text):
         parse_table(text)
     except (TableSyntaxError, TableValidationError):
         pass
+
+
+# draws from the characters and the one keyword of an expression cell; the
+# st.text() draws above nearly all fail at the table header instead
+_EXPR_PIECES = st.sampled_from([*"ab t()~-+*/<>=!&|.0123456789e,", "prev"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(cell=st.lists(_EXPR_PIECES, max_size=40).map("".join))
+def test_expression_parser_never_panics(cell):
+    for row in (f"post {cell}", f"action y = {cell}"):
+        try:
+            parse_table(f"table T\ninputs a, b\noutputs y\ninit y = 0\nreq 1\n  {row}\n")
+        except (TableSyntaxError, TableValidationError):
+            pass
 
 
 def test_expression_formatting_preserves_structure():
