@@ -12,32 +12,23 @@ Three subcommands tie the pieces together:
 Exit codes are a stable contract: 0 a failure-revealing test case was found
 (or, for check/monitor, success), 10 no failure found within the budget,
 1 table validation failed, 2 syntax or usage error, 3 runtime error.
+
+A command loads only the layers it runs: ``check``, ``--help`` and usage
+errors import the table parser and no numpy, and ``monitor`` does not
+import the search.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from dataclasses import asdict, replace
-from typing import Sequence
+from importlib import import_module
+from typing import TYPE_CHECKING, Sequence
 
 from .expr import EvalError
-from .monitor import MonitorError, compile_table, run_monitor, write_degree_csv
-from .search import (
-    SIMULATED_ANNEALING,
-    UNIFORM_RANDOM,
-    FalsificationResult,
-    ParameterizedInput,
-    SAConfig,
-    SearchConfig,
-    SearchError,
-    SignalShape,
-    falsify,
-)
-from .sim import MODEL_PRESETS, SimError, make_model, read_trace_csv, write_trace_csv
 from .table import (
     RequirementsTable,
     TableSyntaxError,
@@ -46,12 +37,56 @@ from .table import (
     load_table,
 )
 
+if TYPE_CHECKING:
+    from .search import FalsificationResult, ParameterizedInput, SearchConfig, SignalShape
+
 EXIT_TC = 0
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_SYNTAX = 2
 EXIT_RUNTIME = 3
 EXIT_NFF = 10
+
+# sorted(sim.MODEL_PRESETS), kept here so that building the parser loads no
+# numpy; a test checks that the two agree
+MODEL_NAMES = ("omm-v0", "omm-v1", "omm-v2", "omm-v3", "plant-demo")
+
+
+def _layer_function(module: str, name: str):
+    """A module-level stand-in for ``module.name`` that imports the module on first call.
+
+    Commands call the layers only through these names, so each command loads
+    only the layers it runs, and tracing tools can rebind the names here.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+compile_table = _layer_function("monitor", "compile_table")
+run_monitor = _layer_function("monitor", "run_monitor")
+write_degree_csv = _layer_function("monitor", "write_degree_csv")
+falsify = _layer_function("search", "falsify")
+read_trace_csv = _layer_function("sim", "read_trace_csv")
+write_trace_csv = _layer_function("sim", "write_trace_csv")
+
+# each layer's runtime error; a layer this process never imported raised none
+_LAYER_ERRORS = {
+    f"{__package__}.monitor": "MonitorError",
+    f"{__package__}.sim": "SimError",
+    f"{__package__}.search": "SearchError",
+}
+
+
+def _layer_errors() -> tuple[type[Exception], ...]:
+    return tuple(
+        getattr(sys.modules[module], error)
+        for module, error in _LAYER_ERRORS.items()
+        if module in sys.modules
+    )
 
 
 def _int_at_least(low: int):
@@ -118,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_falsify = sub.add_parser("falsify", help="search for a failure-revealing test case")
     p_falsify.add_argument(
-        "--model", required=True, choices=sorted(MODEL_PRESETS), help="built-in model preset"
+        "--model", required=True, choices=MODEL_NAMES, help="built-in model preset"
     )
     p_falsify.add_argument("--table", required=True, help="path to a .rt file or bundled name")
     p_falsify.add_argument(
@@ -197,6 +232,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _parse_input_override(spec: str) -> SignalShape:
+    from .search import SignalShape
+
     parts = spec.split(":")
     if len(parts) not in (3, 4):
         raise argparse.ArgumentTypeError(f"--input expects NAME:LO:HI[:K], got {spec!r}")
@@ -210,6 +247,16 @@ def _parse_input_override(spec: str) -> SignalShape:
 
 
 def _build_run_setup(args: argparse.Namespace) -> tuple[ParameterizedInput, SearchConfig, dict]:
+    from .search import (
+        SIMULATED_ANNEALING,
+        UNIFORM_RANDOM,
+        ParameterizedInput,
+        SAConfig,
+        SearchConfig,
+        SignalShape,
+    )
+    from .sim import MODEL_PRESETS
+
     preset = MODEL_PRESETS[args.model]
     shapes = {
         name: SignalShape(name=name, lower=lo, upper=hi)
@@ -270,6 +317,10 @@ _SUMMARY_KEYS = ("seed", "verdict", "iterations", "best_fitness", "violated_requ
 
 
 def cmd_falsify(args: argparse.Namespace) -> int:
+    import json
+
+    from .sim import make_model
+
     table = _load_table_arg(args.table)
     pi, base_cfg, echo = _build_run_setup(args)
     automaton = compile_table(table)
@@ -347,7 +398,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (argparse.ArgumentTypeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
-    except (MonitorError, SimError, SearchError, EvalError, OSError) as exc:
+    except (EvalError, OSError, *_layer_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -11,21 +11,16 @@ Degrees are plain floats on the extended real line: ``math.inf`` is the
 degree of an inactive requirement and the identity of min-aggregation.
 
 The scalar functions are the reference semantics. The monitor evaluates
-with their array counterparts (``arith_array``, ``holds_array``,
-``degree_array``), which compute the same floats bit for bit over many
-samples at once; the one intended difference is that a NaN operand of
-``&`` or ``|`` makes the array degree NaN, where Python's ``min`` and
-``max`` keep or drop it depending on operand order.
+with their array counterparts in ``rtfalsify.monitor``, which compute the
+same floats over many samples at once. This module imports no numpy, so
+the table parser, and with it ``rtfalsify check``, runs without it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
-
-import numpy as np
 
 INF = math.inf
 
@@ -224,115 +219,6 @@ def degree(e: BoolExpr, env: Env) -> float:
             return max(degree(lhs, env), degree(rhs, env))
         case Not(operand):
             return -degree(operand, env)
-    raise TypeError(f"not a boolean expression: {e!r}")
-
-
-# --- whole-array evaluation ---------------------------------------------
-
-_COMPARE = {
-    ">": operator.gt,
-    "<": operator.lt,
-    ">=": operator.ge,
-    "<=": operator.le,
-    "==": operator.eq,
-    "!=": operator.ne,
-}
-
-
-@dataclass
-class ArrayEnv:
-    """Bindings for evaluating expressions over many samples at once.
-
-    Values are arrays (or floats) that broadcast to one shape, candidates x
-    samples in the monitor. Division by zero does not raise here: every
-    ``/`` ORs into ``zero_division`` the samples where its divisor was zero
-    and the scalar evaluator would have reached it, so the caller can raise
-    the error of the first failing step. Evaluate under
-    ``np.errstate(all="ignore")``; the other samples' quotients are discarded.
-    """
-
-    signals: Mapping[str, np.ndarray]
-    prev: Mapping[str, np.ndarray]
-    t: np.ndarray | float
-    zero_division: np.ndarray | bool = False
-
-
-def arith_array(e: ArithExpr, env: ArrayEnv, live=True):
-    """``eval_arith`` elementwise; ``live`` marks the samples the scalar evaluator reaches."""
-    match e:
-        case Const(value):
-            return value
-        case SignalRef(name):
-            try:
-                return env.signals[name]
-            except KeyError:
-                raise UnboundNameError(name) from None
-        case TimeVar():
-            return env.t
-        case PrevRef(name):
-            try:
-                return env.prev[name]
-            except KeyError:
-                raise UnboundNameError(name, "previous-step signal") from None
-        case BinaryArith(op, lhs, rhs):
-            a = arith_array(lhs, env, live)
-            b = arith_array(rhs, env, live)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                env.zero_division = np.logical_or(env.zero_division, np.logical_and(live, b == 0.0))
-                return np.divide(a, b)
-            raise ValueError(f"unknown arithmetic operator {op!r}")
-    raise TypeError(f"not an arithmetic expression: {e!r}")
-
-
-def holds_array(e: BoolExpr, env: ArrayEnv, live=True):
-    """``eval_bool`` elementwise, with ``&`` and ``|`` short-circuiting per sample."""
-    match e:
-        case Rel(op, lhs, rhs):
-            if op not in _COMPARE:
-                raise ValueError(f"unknown relational operator {op!r}")
-            return _COMPARE[op](arith_array(lhs, env, live), arith_array(rhs, env, live))
-        case And(lhs, rhs):
-            left = holds_array(lhs, env, live)
-            return np.logical_and(left, holds_array(rhs, env, np.logical_and(live, left)))
-        case Or(lhs, rhs):
-            left = holds_array(lhs, env, live)
-            right_live = np.logical_and(live, np.logical_not(left))
-            return np.logical_or(left, holds_array(rhs, env, right_live))
-        case Not(operand):
-            return np.logical_not(holds_array(operand, env, live))
-    raise TypeError(f"not a boolean expression: {e!r}")
-
-
-def degree_array(e: BoolExpr, env: ArrayEnv, live=True):
-    """``degree`` elementwise; ``&`` and ``|`` evaluate both sides, as ``degree`` does."""
-    match e:
-        case Rel(op, lhs, rhs):
-            a = arith_array(lhs, env, live)
-            b = arith_array(rhs, env, live)
-            if op in (">", ">="):
-                return a - b
-            if op in ("<", "<="):
-                return b - a
-            if op == "==":
-                return -abs(a - b)
-            if op == "!=":
-                return abs(a - b)
-            raise ValueError(f"unknown relational operator {op!r}")
-        case And(lhs, rhs):
-            a, b = degree_array(lhs, env, live), degree_array(rhs, env, live)
-            # on ties keep a, as min(a, b) does: it decides the sign of a zero
-            return np.where(a == b, a, np.minimum(a, b))
-        case Or(lhs, rhs):
-            a, b = degree_array(lhs, env, live), degree_array(rhs, env, live)
-            return np.where(a == b, a, np.maximum(a, b))
-        case Not(operand):
-            return -degree_array(operand, env, live)
     raise TypeError(f"not a boolean expression: {e!r}")
 
 

@@ -27,14 +27,22 @@ table output makes the outputs a recurrence; that case runs the same
 kernels one step at a time. A run stops with the error that a step-by-step
 run meets first: the earliest step, and within it guards, then actions,
 then missing outputs, then postconditions, each in requirement order.
+
+The engine's expression evaluators (``arith_array``, ``holds_array``,
+``degree_array``) live here, next to their only caller. They compute the
+same floats bit for bit as ``expr``'s scalar reference functions, over many
+samples at once; the one intended difference is that a NaN operand of
+``&`` or ``|`` makes the array degree NaN, where Python's ``min`` and
+``max`` keep or drop it depending on operand order.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -42,11 +50,19 @@ import numpy as np
 # the scalar reference semantics; bench/tracing.py counts calls to these names
 from .expr import degree, eval_arith, eval_bool  # noqa: F401
 from .expr import (
-    ArrayEnv,
+    And,
+    ArithExpr,
+    BinaryArith,
+    BoolExpr,
+    Const,
     DivisionByZeroError,
-    arith_array,
-    degree_array,
-    holds_array,
+    Not,
+    Or,
+    PrevRef,
+    Rel,
+    SignalRef,
+    TimeVar,
+    UnboundNameError,
     prev_names,
 )
 from .sim import SignalMismatchError, Trace, write_csv_columns
@@ -211,6 +227,115 @@ def monitor_batch(
         raise SignalMismatchError(f"trace is missing table inputs: {', '.join(missing)}")
     with np.errstate(all="ignore"):
         return _Engine(automaton, signals, times).run()
+
+
+# --- whole-array evaluation ---------------------------------------------
+
+_COMPARE = {
+    ">": operator.gt,
+    "<": operator.lt,
+    ">=": operator.ge,
+    "<=": operator.le,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+
+
+@dataclass
+class ArrayEnv:
+    """Bindings for evaluating expressions over many samples at once.
+
+    Values are arrays (or floats) that broadcast to one shape, candidates x
+    samples in the monitor. Division by zero does not raise here: every
+    ``/`` ORs into ``zero_division`` the samples where its divisor was zero
+    and the scalar evaluator would have reached it, so the caller can raise
+    the error of the first failing step. Evaluate under
+    ``np.errstate(all="ignore")``; the other samples' quotients are discarded.
+    """
+
+    signals: Mapping[str, np.ndarray]
+    prev: Mapping[str, np.ndarray]
+    t: np.ndarray | float
+    zero_division: np.ndarray | bool = False
+
+
+def arith_array(e: ArithExpr, env: ArrayEnv, live=True):
+    """``eval_arith`` elementwise; ``live`` marks the samples the scalar evaluator reaches."""
+    match e:
+        case Const(value):
+            return value
+        case SignalRef(name):
+            try:
+                return env.signals[name]
+            except KeyError:
+                raise UnboundNameError(name) from None
+        case TimeVar():
+            return env.t
+        case PrevRef(name):
+            try:
+                return env.prev[name]
+            except KeyError:
+                raise UnboundNameError(name, "previous-step signal") from None
+        case BinaryArith(op, lhs, rhs):
+            a = arith_array(lhs, env, live)
+            b = arith_array(rhs, env, live)
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            if op == "*":
+                return a * b
+            if op == "/":
+                env.zero_division = np.logical_or(env.zero_division, np.logical_and(live, b == 0.0))
+                return np.divide(a, b)
+            raise ValueError(f"unknown arithmetic operator {op!r}")
+    raise TypeError(f"not an arithmetic expression: {e!r}")
+
+
+def holds_array(e: BoolExpr, env: ArrayEnv, live=True):
+    """``eval_bool`` elementwise, with ``&`` and ``|`` short-circuiting per sample."""
+    match e:
+        case Rel(op, lhs, rhs):
+            if op not in _COMPARE:
+                raise ValueError(f"unknown relational operator {op!r}")
+            return _COMPARE[op](arith_array(lhs, env, live), arith_array(rhs, env, live))
+        case And(lhs, rhs):
+            left = holds_array(lhs, env, live)
+            return np.logical_and(left, holds_array(rhs, env, np.logical_and(live, left)))
+        case Or(lhs, rhs):
+            left = holds_array(lhs, env, live)
+            right_live = np.logical_and(live, np.logical_not(left))
+            return np.logical_or(left, holds_array(rhs, env, right_live))
+        case Not(operand):
+            return np.logical_not(holds_array(operand, env, live))
+    raise TypeError(f"not a boolean expression: {e!r}")
+
+
+def degree_array(e: BoolExpr, env: ArrayEnv, live=True):
+    """``degree`` elementwise; ``&`` and ``|`` evaluate both sides, as ``degree`` does."""
+    match e:
+        case Rel(op, lhs, rhs):
+            a = arith_array(lhs, env, live)
+            b = arith_array(rhs, env, live)
+            if op in (">", ">="):
+                return a - b
+            if op in ("<", "<="):
+                return b - a
+            if op == "==":
+                return -abs(a - b)
+            if op == "!=":
+                return abs(a - b)
+            raise ValueError(f"unknown relational operator {op!r}")
+        case And(lhs, rhs):
+            a, b = degree_array(lhs, env, live), degree_array(rhs, env, live)
+            # on ties keep a, as min(a, b) does: it decides the sign of a zero
+            return np.where(a == b, a, np.minimum(a, b))
+        case Or(lhs, rhs):
+            a, b = degree_array(lhs, env, live), degree_array(rhs, env, live)
+            return np.where(a == b, a, np.maximum(a, b))
+        case Not(operand):
+            return -degree_array(operand, env, live)
+    raise TypeError(f"not a boolean expression: {e!r}")
 
 
 class _Engine:
@@ -396,13 +521,11 @@ def _postcondition_active(guard: np.ndarray, req: Requirement, times) -> np.ndar
 
 def write_degree_csv(run: MonitorRun, path: str) -> None:
     """Write the per-step degrees as CSV: t, ff_1..ff_n, ff_total_running."""
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["t", *(f"ff_{idx}" for idx in run.requirement_indexes), "ff_total_running"]
         )
         # one lazy column per requirement: transposing the rows would copy them all
-        degrees = (map(itemgetter(j), run.degrees) for j in range(len(run.requirement_indexes)))
+        degrees = (map(operator.itemgetter(j), run.degrees) for j in range(len(run.requirement_indexes)))
         write_csv_columns(fh, [run.times, *degrees, run.running])

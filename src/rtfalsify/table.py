@@ -115,9 +115,12 @@ class TableValidationError(TableError):
 
 # --- expression parsing ---------------------------------------------------
 
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# a number cell (dur, init) is a number literal with an optional sign
+_NUMBER_CELL_RE = re.compile(rf"[+-]?{_NUMBER}\Z")
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+    rf"""
+    (?P<num>{_NUMBER})
   | (?P<ident>[A-Za-z_]\w*)
   | (?P<op>>=|<=|==|!=|[><&|~+\-*/(),])
     """,
@@ -418,10 +421,9 @@ def _parse_binding(rest: str, line_no: int, col: int) -> tuple[str, str]:
 
 
 def _parse_number(text: str, line_no: int, col: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise TableSyntaxError(f"invalid number {text!r}", line_no, col) from None
+    if not _NUMBER_CELL_RE.match(text):
+        raise TableSyntaxError(f"invalid number {text!r}", line_no, col)
+    value = float(text)
     if not math.isfinite(value):
         raise TableSyntaxError(f"number must be finite, got {text!r}", line_no, col)
     return value

@@ -69,6 +69,13 @@ def test_check_expression_error_is_one_located_line(tmp_path, capsys, cell, mess
     assert capsys.readouterr().err == f"syntax error: {message}\n"
 
 
+def test_check_malformed_init_number_is_one_located_line(tmp_path, capsys):
+    path = tmp_path / "init.rt"
+    path.write_text("table T\ninputs x\noutputs y\ninit y = 1_000\nreq 1\n  action y = x\n")
+    assert run_cli("check", str(path)) == 2
+    assert capsys.readouterr().err == "syntax error: line 4, column 6: invalid number '1_000'\n"
+
+
 def test_check_missing_file_is_runtime_error(capsys):
     assert run_cli("check", "/definitely/not/there.rt") == 3
 

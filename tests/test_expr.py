@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oracle import random_arith_expr, random_bool_expr
 from rtfalsify.expr import (
     And,
-    ArrayEnv,
     BinaryArith,
     Const,
     DivisionByZeroError,
@@ -20,15 +19,13 @@ from rtfalsify.expr import (
     SignalRef,
     TimeVar,
     UnboundNameError,
-    arith_array,
     degree,
-    degree_array,
     eval_arith,
     eval_bool,
-    holds_array,
     prev_names,
     signal_names,
 )
+from rtfalsify.monitor import ArrayEnv, arith_array, degree_array, holds_array
 
 
 def test_const_evaluates_to_itself():

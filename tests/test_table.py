@@ -200,17 +200,35 @@ def test_comments_and_blank_lines_ignored():
         ("req 1\n  post x > 1e400\n", "number must be finite", 6),
         ("req 1\n  post x < 1e400 - 1e400 + 5\n", "number must be finite", 6),
         ("req 1\n  action y = -1e999\n", "number must be finite", 6),
+        ("init z = 1_000\nreq 1\n  post x > 0\n", "invalid number '1_000'", 5),
+        ("req 1\n  pre x > 0\n  dur 1_0\n  post x > 0\n", "invalid number '1_0'", 7),
+        ("req 1\n  pre x > 0\n  dur inf\n  post x > 0\n", "invalid number 'inf'", 7),
+        ("init z = nan\nreq 1\n  post x > 0\n", "invalid number 'nan'", 5),
+        ("req 1\n  pre x > 0\n  dur 1e\n  post x > 0\n", "invalid number '1e'", 7),
+        ("req 1\n  pre x > 0\n  dur --1\n  post x > 0\n", "invalid number '--1'", 7),
     ],
     ids=[
         "post-then-pre", "repeated-pre", "dur-after-post", "post-after-action",
         "dur-outside-req", "word-index", "fractional-index", "duplicate-init",
         "infinite-literal", "nan-by-arithmetic", "infinite-action-literal",
+        "init-underscore", "dur-underscore", "dur-inf-word", "init-nan-word", "bare-exponent",
+        "double-sign",
     ],
 )
 def test_requirement_row_syntax_errors(body, message, line):
     with pytest.raises(TableSyntaxError, match=message) as err:
         parse_table("table T\ninputs x\noutputs y\ninit y = 0\n" + body)
     assert err.value.line == line
+
+
+def test_number_cells_take_a_sign_and_an_exponent():
+    table = parse_table(
+        "table T\ninputs x\noutputs y\ninit y = -0.5\n"
+        "req 1\n  pre x > 0\n  dur 2.5e1\n  post x > 0\n  action y = x\n"
+        "req 2\n  pre x > 1\n  dur +.5\n  post x > 1\n"
+    )
+    assert table.initial_values == {"y": -0.5}
+    assert [r.duration for r in table.requirements] == [25.0, 0.5]
 
 
 def test_dash_cells_leave_fields_absent():
