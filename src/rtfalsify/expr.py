@@ -18,11 +18,8 @@ the table parser, and with it ``rtfalsify check``, runs without it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
-
-INF = math.inf
 
 
 class EvalError(Exception):
@@ -106,7 +103,6 @@ class Not:
 
 BoolExpr = Union[Rel, And, Or, Not]
 
-ARITH_OPS = ("+", "-", "*", "/")
 REL_OPS = (">", "<", ">=", "<=", "==", "!=")
 
 

@@ -23,10 +23,12 @@ initial values, so step 0 sees the init values and step k sees step k-1.
 The machines run as one array engine over a batch of traces (candidates x
 samples): every expression is evaluated once per batch, and the phases
 follow from the guards' run lengths. Only an action that reads prev() of a
-table output makes the outputs a recurrence; that case runs the same
-kernels one step at a time. A run stops with the error that a step-by-step
-run meets first: the earliest step, and within it guards, then actions,
-then missing outputs, then postconditions, each in requirement order.
+table output makes the outputs a recurrence; that case first steps the
+actions through the samples to fill in the outputs, then makes the same
+whole-array pass with prev() read from them. Every stage records where it
+fails, and the run raises, once, the error that a step-by-step run meets
+first: the earliest step, and within it guards, then actions, then missing
+outputs, then postconditions, each in requirement order.
 
 The engine's expression evaluators (``arith_array``, ``holds_array``,
 ``degree_array``) live here, next to their only caller. They compute the
@@ -361,66 +363,52 @@ class _Engine:
         self.errors: list[tuple[np.ndarray, tuple, object]] = []
 
     def run(self) -> MonitorBatch:
-        automaton, shape, times = self.automaton, self.shape, self.times
-        n_candidates, n = shape
-        env = ArrayEnv(self.signals, self.prev, times[None, :])
+        automaton, times = self.automaton, self.times
+        n_candidates, n = self.shape
+        t = times[None, :]
+        env = ArrayEnv(self.signals, self.prev, t)
         active = [
             _postcondition_active(self._guard(i, req, env), req, times)
             for i, req in enumerate(automaton.requirements)
         ]
-        guard_errors, self.errors = self.errors, []
-
-        degrees = np.full((n_candidates, n, len(active)), INF)
+        prev = {**self.prev, **self._recurrence(active)} if automaton.recurrent else self.prev
+        values = self._actions(ArrayEnv(self.signals, prev, t), active) if automaton.outputs else {}
         init = automaton.initial_values
-        carry = {s: np.full((n_candidates, 1), init[s]) for s in self.prev_outputs}
-        if not automaton.recurrent:  # one pass over the whole arrays
-            outputs = self._pass(
-                self.signals, self.prev, times, active, carry, degrees, guard_errors
-            )
-        else:
-            # actions read prev() of an output: one step at a time, carrying the outputs
-            outputs = {name: np.empty(shape) for name in automaton.outputs}
-            for k in range(n):
-                cols = slice(k, k + 1)
-                values = self._pass(
-                    {name: signal[:, cols] for name, signal in self.signals.items()},
-                    {name: signal[:, cols] for name, signal in self.prev.items()},
-                    times[cols],
-                    [mask[:, cols] for mask in active],
-                    carry,
-                    degrees[:, cols],
-                    [(mask[:, cols], key, make) for mask, key, make in guard_errors],
-                )
-                for name, column in values.items():
-                    outputs[name][:, cols] = column
-                carry = {s: values[s] for s in carry}
+        prev = {**prev, **{s: _delayed(values[s], init[s]) for s in self.prev_outputs}}
+        post_env = ArrayEnv({**self.signals, **values}, prev, t)
+        degrees = np.full((n_candidates, n, len(active)), INF)
+        for i, req in enumerate(automaton.requirements):
+            if req.postcondition is not None:
+                self._postcondition(i, req, post_env, active[i], degrees[:, :, i])
+        self._raise_first()  # once, now that every stage has recorded where it fails
 
         fitness = np.minimum.reduce(degrees.reshape(n_candidates, -1), axis=1, initial=INF)
         return MonitorBatch(
             times=times,
             requirement_indexes=automaton.requirement_indexes,
             degrees=degrees,
-            outputs=outputs,
+            outputs=values,
             fitness=_first_zero_sign(fitness, degrees.reshape(n_candidates, -1)),
         )
 
-    def _pass(self, signals, prev, times, live, carry, degrees, guard_errors) -> dict:
-        """Actions, then postconditions, over some steps; returns the outputs' values.
-
-        ``carry`` holds each prev()-read output's value before the first of
-        these steps; ``degrees`` is the (candidates, steps, requirements)
-        block to write into.
-        """
-        t = times[None, :]
-        action_env = ArrayEnv(signals, {**prev, **carry}, t)
-        values = self._actions(action_env, live) if self.automaton.outputs else {}
-        prev = {**prev, **{s: _delayed(values[s], carry[s]) for s in carry}}
-        post_env = ArrayEnv({**signals, **values}, prev, t)
-        for i, req in enumerate(self.automaton.requirements):
-            if req.postcondition is not None:
-                self._postcondition(i, req, post_env, live[i], degrees[:, :, i])
-        self._raise_first(guard_errors, times)
-        return values
+    def _recurrence(self, active: list[np.ndarray]) -> dict[str, np.ndarray]:
+        """prev() of each prev()-read output, from the actions run one step at a time."""
+        errors, self.errors = self.errors, []  # dropped: the whole-array pass meets each again
+        init = self.automaton.initial_values
+        delayed = {s: np.full(self.shape, init[s]) for s in self.prev_outputs}
+        prev = {**self.prev, **delayed}
+        for k in range(self.shape[1] - 1):  # no step reads the last step's outputs
+            cols = slice(k, k + 1)
+            env = ArrayEnv(
+                {name: signal[:, cols] for name, signal in self.signals.items()},
+                {name: signal[:, cols] for name, signal in prev.items()},
+                self.times[None, cols],
+            )
+            values = self._actions(env, [mask[:, cols] for mask in active])
+            for s in delayed:
+                delayed[s][:, k + 1 : k + 2] = values[s]
+        self.errors = errors
+        return delayed
 
     def _guard(self, i: int, req: Requirement, env: ArrayEnv) -> np.ndarray:
         if req.precondition is None:  # an absent precondition always holds
@@ -471,16 +459,16 @@ class _Engine:
             mask = np.broadcast_to(env.zero_division, (self.shape[0], env.t.shape[1]))
             self.errors.append((mask, key, lambda c, k, t: DivisionByZeroError()))
 
-    def _raise_first(self, guard_errors: list, t: np.ndarray) -> None:
+    def _raise_first(self) -> None:
         """Raise the error of the earliest step, ties broken in step-by-step order."""
         first = None
-        for mask, key, make in guard_errors + self.errors:
+        for mask, key, make in self.errors:
             steps = np.flatnonzero(mask.any(axis=0))
             if steps.size and (first is None or (steps[0], key) < first[:2]):
                 first = (steps[0], key, mask, make)
         if first is not None:
             k, _, mask, make = first
-            raise make(int(np.argmax(mask[:, k])), k, float(t[k]))
+            raise make(int(np.argmax(mask[:, k])), k, float(self.times[k]))
 
 
 def _broadcast(values, shape: tuple[int, int]) -> np.ndarray:

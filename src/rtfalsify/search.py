@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,8 +108,10 @@ class ParameterizedInput:
     many switches as lie at or before it, so the order of the switch times
     in the vector does not matter.
 
-    ``parameters``, ``bounds`` and ``times`` are computed once per object;
-    ``bounds`` and ``times`` are returned as read-only arrays.
+    ``times`` is computed at construction, so a sample count that is not
+    finite or too large for an array raises ValueError there; ``parameters``
+    and ``bounds`` are computed on first use. ``bounds`` and ``times`` are
+    read-only arrays.
     """
 
     shapes: tuple[SignalShape, ...]
@@ -123,6 +125,7 @@ class ParameterizedInput:
             raise ValueError("horizon must be >= 0")
         if not (self.dt > 0):
             raise ValueError("dt must be > 0")
+        self.times  # noqa: B018 -- computed now, so that a bad sample count fails here
 
     @cached_property
     def parameters(self) -> tuple[Parameter, ...]:
@@ -322,31 +325,6 @@ def acceptance_probability(delta: float, temperature: float) -> float:
     return math.exp(-delta / temperature)
 
 
-def sa_step(
-    objective: Callable[[np.ndarray], float],
-    pi: ParameterizedInput,
-    current: np.ndarray,
-    current_fitness: float,
-    temperature: float,
-    proposal_scale: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, float, bool]:
-    """Propose and evaluate one annealing move.
-
-    The proposal adds per-dimension Gaussian noise with standard deviation
-    ``proposal_scale`` times the parameter range, clamped back into the box.
-    Returns (proposal, proposal fitness, accepted); on rejection the caller
-    keeps its current point.
-    """
-    lows, highs = pi.bounds
-    noise = rng.normal(0.0, 1.0, size=current.shape) * proposal_scale * (highs - lows)
-    proposal = np.clip(current + noise, lows, highs)
-    proposal_fitness = objective(proposal)
-    delta = _metropolis_delta(proposal_fitness, current_fitness)
-    accepted = rng.random() < acceptance_probability(delta, temperature)
-    return proposal, proposal_fitness, accepted
-
-
 def falsify(
     model: SystemModel,
     table: RequirementsTable | MonitorAutomaton,
@@ -361,6 +339,7 @@ def falsify(
     """
     automaton = table if isinstance(table, MonitorAutomaton) else compile_table(table)
     lows, highs = pi.bounds
+    spans = highs - lows
     rng = np.random.default_rng(cfg.seed)
 
     history: list[float] = []
@@ -377,7 +356,6 @@ def falsify(
 
     if cfg.algorithm == UNIFORM_RANDOM:
         max_rows = max(1, BATCH_SAMPLES // pi.times.size)
-        spans = highs - lows
         while best_fitness >= 0 and len(history) < cfg.budget:
             m = min(max_rows, cfg.budget - len(history))
             # the floats of rng.uniform(lows, highs, size=(m, d)), without its argument checks
@@ -396,24 +374,22 @@ def falsify(
                 if best_fitness < 0:
                     break
     else:
-        last: _Batch | None = None
-
-        def objective(params: np.ndarray) -> float:
-            nonlocal last
-            last = _evaluate_batch(model, automaton, pi, params[None])
-            return float(last.monitored.fitness[0])
-
         current = rng.uniform(lows, highs)
-        current_fitness = objective(current)
-        record(last, [current_fitness])
+        batch = _evaluate_batch(model, automaton, pi, current[None])
+        current_fitness = float(batch.monitored.fitness[0])
+        record(batch, [current_fitness])
         temperature = cfg.sa.initial_temperature
         while best_fitness >= 0 and len(history) < cfg.budget:
-            proposal, proposal_fitness, accepted = sa_step(
-                objective, pi, current, current_fitness, temperature, cfg.sa.proposal_scale, rng
-            )
-            record(last, [proposal_fitness])
-            if accepted:
-                current, current_fitness = proposal, proposal_fitness
+            # Gaussian noise with standard deviation proposal_scale times each
+            # parameter's range, clamped back into the box
+            noise = rng.normal(0.0, 1.0, size=current.shape) * cfg.sa.proposal_scale * spans
+            proposal = np.clip(current + noise, lows, highs)
+            batch = _evaluate_batch(model, automaton, pi, proposal[None])
+            fitness = float(batch.monitored.fitness[0])
+            record(batch, [fitness])
+            delta = _metropolis_delta(fitness, current_fitness)
+            if rng.random() < acceptance_probability(delta, temperature):
+                current, current_fitness = proposal, fitness
             temperature *= cfg.sa.cooling
 
     assert best is not None

@@ -89,7 +89,10 @@ def n_samples_for(horizon: float, dt: float) -> int:
     """Sample count covering [0, horizon] at step dt; a zero horizon is one sample."""
     if horizon < 0 or not (dt > 0):
         raise ValueError("need horizon >= 0 and dt > 0")
-    return int(math.floor(horizon / dt)) + 1
+    steps = horizon / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"horizon / dt is not finite (horizon={horizon!r}, dt={dt!r})")
+    return int(math.floor(steps)) + 1
 
 
 class SystemModel(ABC):

@@ -346,10 +346,10 @@ def _parse_structure(text: str) -> RequirementsTable:
             if section > 3:
                 raise TableSyntaxError("'init' lines must come before 'req' blocks", line_no)
             section = 3
-            sig, value = _parse_binding(rest, line_no, rest_col)
+            sig, value, value_col = _parse_binding(rest, line_no, rest_col)
             if sig in initial_values:
                 raise TableSyntaxError(f"duplicate init for '{sig}'", line_no, rest_col)
-            initial_values[sig] = _parse_number(value, line_no, rest_col)
+            initial_values[sig] = _parse_number(value, line_no, value_col)
         elif keyword == "req":
             section = 4
             try:
@@ -387,8 +387,8 @@ _STAGES = {"pre": 1, "dur": 2, "post": 3, "action": 4}
 def _parse_cell(req: Requirement, keyword: str, rest: str, line_no: int, col: int) -> Requirement:
     """``req`` with one more cell; a ``-`` cell leaves its field absent."""
     if keyword == "action":
-        target, value = _parse_binding(rest, line_no, col)
-        action = Assignment(target, parse_arith_expr(value, line_no, col))
+        target, value, value_col = _parse_binding(rest, line_no, col)
+        action = Assignment(target, parse_arith_expr(value, line_no, value_col))
         return replace(req, actions=(*req.actions, action))
     if rest == "-":
         return req
@@ -412,12 +412,14 @@ def _parse_name_list(rest: str, line_no: int, col: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _parse_binding(rest: str, line_no: int, col: int) -> tuple[str, str]:
+def _parse_binding(rest: str, line_no: int, col: int) -> tuple[str, str, int]:
+    """``<name> = <value>`` starting at column ``col``: the name, the value and its column."""
     target, eq, value = rest.partition("=")
     target = target.strip()
     if not eq or not _IDENT_RE.match(target):
         raise TableSyntaxError("expected '<name> = <expression>'", line_no, col)
-    return target, value.strip()
+    value = value.lstrip()  # ``rest`` has no trailing blanks
+    return target, value, col + len(rest) - len(value)
 
 
 def _parse_number(text: str, line_no: int, col: int) -> float:

@@ -73,7 +73,7 @@ def test_check_malformed_init_number_is_one_located_line(tmp_path, capsys):
     path = tmp_path / "init.rt"
     path.write_text("table T\ninputs x\noutputs y\ninit y = 1_000\nreq 1\n  action y = x\n")
     assert run_cli("check", str(path)) == 2
-    assert capsys.readouterr().err == "syntax error: line 4, column 6: invalid number '1_000'\n"
+    assert capsys.readouterr().err == "syntax error: line 4, column 10: invalid number '1_000'\n"
 
 
 def test_check_missing_file_is_runtime_error(capsys):
@@ -224,6 +224,25 @@ def test_falsify_non_finite_argument_is_usage_error(tmp_path, capsys, option, va
     )
     assert code == 2
     assert "finite" in assert_one_usage_line(capsys.readouterr().err)
+    assert not out.exists()  # rejected before any search or output file
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        ("--horizon", "1e300", "--dt", "1e-300"),  # horizon / dt overflows to inf
+        ("--dt", "1e-300"),  # a finite sample count past what numpy can allocate
+    ],
+    ids=["non-finite-count", "too-many-samples"],
+)
+def test_falsify_unusable_sample_count_is_usage_error(tmp_path, capsys, sizes):
+    out = tmp_path / "run"
+    code = run_cli(
+        "falsify", "--model", "omm-v1", "--table", "omm-rt0", "--budget", "5",
+        "--out", str(out), *sizes,
+    )
+    assert code == 2
+    assert_one_usage_line(capsys.readouterr().err)
     assert not out.exists()  # rejected before any search or output file
 
 

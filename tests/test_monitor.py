@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -331,31 +332,40 @@ def test_degree_csv_layout(tmp_path, sc_table):
 NAN_POST = "x * 1e308 * 10 - x * 1e308 * 10 > 0"  # inf - inf for any x != 0
 
 
+FIRST_ERRORS = [
+    # an earlier step wins over a later one
+    ("req 1\n  pre x > 0\n  action y = 1\nreq 2\n  post 1 / (x - 2) > 0\n",
+     [1.0, -1.0, 2.0], MissingActionError, 1.0),
+    ("req 1\n  pre 1 / x > 0\n  post x > 0\nreq 2\n  post " + NAN_POST + "\n  action y = 0\n",
+     [1.0, 0.0], UndefinedDegreeError, 0.0),
+    # within a step: guards, actions, missing outputs, postconditions
+    ("req 1\n  pre 1 / x > 0\n  post x > 0\nreq 2\n  post " + NAN_POST + "\n  action y = 0\n",
+     [0.0, 1.0], DivisionByZeroError, None),
+    ("req 1\n  post x > 0\n  action y = x\n"
+     "req 2\n  pre x > 0\n  post x > 0\n  action y = x + 1\n",
+     [1.0], ConflictingActionError, 0.0),
+    ("req 1\n  pre x > 0\n  action y = x\nreq 2\n  post " + NAN_POST + "\n",
+     [-1.0], MissingActionError, 0.0),
+    # within a stage, requirement order
+    ("req 1\n  post " + NAN_POST + "\n  action y = 0\nreq 2\n  post 1 / (x - x) > 0\n",
+     [1.0], UndefinedDegreeError, 0.0),
+    ("req 1\n  post 1 / (x - x) > 0\n  action y = 0\nreq 2\n  post " + NAN_POST + "\n",
+     [1.0], DivisionByZeroError, None),
+]
+
+
+def recurrent_twin(rows):
+    """``rows`` with every action also reading prev(y), so the outputs become a recurrence."""
+    return re.sub(r"(action y = .*)", r"\1 + 0 * prev(y)", rows)
+
+
 @pytest.mark.parametrize(
     "rows, x, error, t",
-    [
-        # an earlier step wins over a later one
-        ("req 1\n  pre x > 0\n  action y = 1\nreq 2\n  post 1 / (x - 2) > 0\n",
-         [1.0, -1.0, 2.0], MissingActionError, 1.0),
-        ("req 1\n  pre 1 / x > 0\n  post x > 0\nreq 2\n  post " + NAN_POST + "\n  action y = 0\n",
-         [1.0, 0.0], UndefinedDegreeError, 0.0),
-        # within a step: guards, actions, missing outputs, postconditions
-        ("req 1\n  pre 1 / x > 0\n  post x > 0\nreq 2\n  post " + NAN_POST + "\n  action y = 0\n",
-         [0.0, 1.0], DivisionByZeroError, None),
-        ("req 1\n  post x > 0\n  action y = x\n"
-         "req 2\n  pre x > 0\n  post x > 0\n  action y = x + 1\n",
-         [1.0], ConflictingActionError, 0.0),
-        ("req 1\n  pre x > 0\n  action y = x\nreq 2\n  post " + NAN_POST + "\n",
-         [-1.0], MissingActionError, 0.0),
-        # within a stage, requirement order
-        ("req 1\n  post " + NAN_POST + "\n  action y = 0\nreq 2\n  post 1 / (x - x) > 0\n",
-         [1.0], UndefinedDegreeError, 0.0),
-        ("req 1\n  post 1 / (x - x) > 0\n  action y = 0\nreq 2\n  post " + NAN_POST + "\n",
-         [1.0], DivisionByZeroError, None),
-    ],
+    FIRST_ERRORS + [(recurrent_twin(rows), *rest) for rows, *rest in FIRST_ERRORS],
 )
 def test_first_error_of_the_run_wins(rows, x, error, t):
     automaton = simple_table("table T\ninputs x\noutputs y\ninit y = 0\n" + rows)
+    assert automaton.recurrent == ("prev(y)" in rows)
     with pytest.raises(error) as raised:
         run_monitor(automaton, Trace(dt=1.0, samples={"x": np.array(x)}))
     assert getattr(raised.value, "t", None) == t
@@ -411,16 +421,39 @@ def same_floats(a, b):
 )
 def test_batch_equals_batches_of_one(model_name, table_name, n):
     pi = preset_input(model_name)
-    automaton = compile_table(load_bundled_table(table_name))
     lows, highs = pi.bounds
     params = np.random.default_rng(n).uniform(lows, highs, size=(n, lows.size))
     params[0] = np.where(lows <= 0.0, 0.0, lows)  # zero levels give zero degrees
     params[1] = np.where(lows <= 0.0, -0.0, lows)
     params[2] = np.where(lows < 0.0, -0.4, highs)  # violates omm-rt2
     signals = simulate_batch(make_model(model_name), pi.instantiate_batch(params), pi.dt)
-    batch = monitor_batch(automaton, signals, pi.times)
-    for c in range(n):
-        one = monitor_batch(automaton, {s: v[c : c + 1] for s, v in signals.items()}, pi.times)
+    assert_batch_equals_batches_of_one(compile_table(load_bundled_table(table_name)), signals, pi.times)
+
+
+def test_recurrent_batch_equals_batches_of_one():
+    automaton = simple_table(
+        "table R\ninputs x\noutputs y\ninit y = 0.5\n"
+        "req 1\n  pre x > -0.5\n  post y - prev(y) < 0.75\n  action y = prev(y) + x\n"
+        "req 2\n  pre x <= -0.5\n  post y < 2\n  action y = prev(y) / 2\n"
+    )
+    assert automaton.recurrent
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(12, 40))
+    x[0], x[1], x[2] = 0.0, -0.0, 0.75  # zero and boundary degrees
+    times = np.arange(40) * 0.5
+    assert_batch_equals_batches_of_one(automaton, {"x": x}, times)
+    expected = np.empty_like(x)
+    for c, row in enumerate(x):  # the same recurrence, one float at a time
+        y = 0.5
+        for k, v in enumerate(row):
+            y = y + v if v > -0.5 else y / 2
+            expected[c, k] = y
+    assert same_floats(monitor_batch(automaton, {"x": x}, times).outputs["y"], expected)
+
+
+def assert_batch_equals_batches_of_one(automaton, signals, times):
+    batch = monitor_batch(automaton, signals, times)
+    for c in range(len(batch.fitness)):
+        one = monitor_batch(automaton, {s: v[c : c + 1] for s, v in signals.items()}, times)
         assert same_floats(batch.degrees[c], one.degrees[0])
         assert same_floats(batch.fitness[c], one.fitness[0])
         assert batch.outputs.keys() == one.outputs.keys()

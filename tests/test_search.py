@@ -16,7 +16,6 @@ from rtfalsify.search import (
     acceptance_probability,
     evaluate,
     falsify,
-    sa_step,
     violated_requirements,
 )
 from rtfalsify.sim import NonFiniteOutputError, SystemModel, make_model
@@ -101,6 +100,13 @@ def test_arity_and_bounds_errors():
         pi.instantiate([1.0, 2.0])
     with pytest.raises(OutOfBoundsError):
         pi.instantiate([1.0, 99.0, 10.0])
+
+
+@pytest.mark.parametrize("horizon, dt", [(1e300, 1e-300), (10.0, 1e-300)])
+def test_unusable_sample_count_fails_at_construction(horizon, dt):
+    # neither count can be allocated, so the check costs no memory
+    with pytest.raises(ValueError):
+        single_signal_pi(horizon=horizon, dt=dt)
 
 
 def test_full_horizon_is_covered():
@@ -199,16 +205,26 @@ def test_acceptance_vanishes_as_temperature_drops():
     assert probs[-1] == 0.0
 
 
-def test_sa_step_stays_in_bounds(omm_pi):
-    rng = np.random.default_rng(0)
-    lows, highs = omm_pi.bounds
-    current = lows.copy()  # proposals from a corner must be clamped
-    proposal, fitness, accepted = sa_step(
-        lambda p: float(np.sum(p)), omm_pi, current, float(np.sum(current)), 1.0, 0.5, rng
+def test_annealing_proposals_stay_in_bounds(monkeypatch, omm_pi, omm_tables):
+    # at full scale most Gaussian steps leave the box and must be clamped back into
+    # it; an unclamped proposal would raise OutOfBoundsError in instantiate_batch
+    proposals = []
+    evaluate_batch = search._evaluate_batch
+
+    def recording(model, automaton, pi, params):
+        proposals.append(params[0].copy())
+        return evaluate_batch(model, automaton, pi, params)
+
+    monkeypatch.setattr(search, "_evaluate_batch", recording)
+    cfg = SearchConfig(
+        algorithm="simulated-annealing", budget=60, seed=0, sa=SAConfig(proposal_scale=1.0)
     )
-    assert np.all(proposal >= lows) and np.all(proposal <= highs)
-    assert fitness == float(np.sum(proposal))
-    assert isinstance(accepted, bool | np.bool_)
+    result = falsify(make_model("omm-v3"), omm_tables[1], omm_pi, cfg)
+    assert result.iterations == len(proposals) == 60
+    lows, highs = omm_pi.bounds
+    proposals = np.array(proposals)
+    assert np.all(proposals >= lows) and np.all(proposals <= highs)
+    assert np.count_nonzero((proposals == lows) | (proposals == highs)) > 60
 
 
 # --- falsify --------------------------------------------------------------------

@@ -51,6 +51,11 @@ def test_cross_gain_saturates_at_floor():
     assert np.all(out.samples["y1"] == -0.49)
 
 
+def test_non_finite_sample_count_names_horizon_and_dt():
+    with pytest.raises(ValueError, match=r"horizon / dt .*horizon=1e\+300, dt=1e-300"):
+        n_samples_for(1e300, 1e-300)
+
+
 def test_zero_horizon_gives_single_sample():
     assert n_samples_for(0.0, 0.5) == 1
     out = simulate(GainCrossModel(), constant_inputs(1, 2.0, 3.0))

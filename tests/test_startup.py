@@ -1,5 +1,6 @@
 """What each entry point loads: the CLI and the package import only the layers they use."""
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import rtfalsify
 import rtfalsify.cli as cli
 from rtfalsify.sim import MODEL_PRESETS, Trace, write_trace_csv
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # runs cli.main in a fresh interpreter, then reports its exit code and what it loaded
 _MAIN = """
@@ -64,6 +66,27 @@ def test_model_choices_are_the_presets():
 def test_traced_cli_names_are_module_level_callables(name):
     # bench/tracing.py rebinds these entries of the module's namespace
     assert callable(cli.__dict__[name])
+
+
+def test_benchmark_tracer_installs_on_the_current_layers(monkeypatch, omm_pi, omm_tables):
+    # bench/tracing.py rebinds layer names it looks up in their modules' namespaces:
+    # a name a change to the package drops fails here, not only in the benchmark
+    import rtfalsify.monitor as monitor
+    import rtfalsify.search as search
+    import rtfalsify.table as table
+    from rtfalsify.sim import make_model
+
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclass resolves names there
+    spec.loader.exec_module(tracing)
+    owners = (cli, monitor, search, table, search.ParameterizedInput)
+    before = [dict(vars(owner)) for owner in owners]
+    with tracing.installed(tracing.Tracer()) as tracer:
+        assert [dict(vars(owner)) for owner in owners] != before
+        search.falsify(make_model("omm-v1"), omm_tables[0], omm_pi, search.SearchConfig(budget=3))
+    assert [dict(vars(owner)) for owner in owners] == before
+    assert "search.falsify" in {span[1] for span in tracer.spans}
 
 
 def _readme_api() -> list[str]:

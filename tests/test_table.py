@@ -334,6 +334,24 @@ def test_expression_error_location(text, column, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "init, action, line, column, message",
+    [
+        ("init y = 1_000", "  action y = a", 4, 10, "invalid number '1_000'"),
+        ("init y =   -", "  action y = a", 4, 12, "invalid number '-'"),
+        ("init y =", "  action y = a", 4, 9, "invalid number ''"),
+        ("init y = 0", "  action y = a $ 1", 6, 16, "unexpected character '$'"),
+        ("init y = 0", "  action y=prev(y) +", 6, 21, "unexpected end of expression"),
+    ],
+)
+def test_binding_value_errors_point_into_the_value(init, action, line, column, message):
+    text = f"table T\ninputs a\noutputs y\n{init}\nreq 1\n{action}\n"
+    with pytest.raises(TableSyntaxError) as err:
+        parse_table(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert message in str(err.value)
+
+
 # --- round trips and fuzz ----------------------------------------------------
 
 
