@@ -271,7 +271,10 @@ def _build_run_setup(args: argparse.Namespace) -> tuple[ParameterizedInput, Sear
         shapes[shape.name] = shape
     horizon = args.horizon if args.horizon is not None else preset.horizon
     dt = args.dt if args.dt is not None else preset.dt
-    pi = ParameterizedInput(shapes=tuple(shapes.values()), horizon=horizon, dt=dt)
+    try:
+        pi = ParameterizedInput(shapes=tuple(shapes.values()), horizon=horizon, dt=dt)
+    except ValueError as exc:  # the shapes are checked: only the sample count is left
+        raise ValueError(f"--horizon/--dt: {exc}") from None
 
     algorithm = UNIFORM_RANDOM if args.algo == "ur" else SIMULATED_ANNEALING
     sa = SAConfig(

@@ -376,13 +376,15 @@ class _Engine:
         init = automaton.initial_values
         prev = {**prev, **{s: _delayed(values[s], init[s]) for s in self.prev_outputs}}
         post_env = ArrayEnv({**self.signals, **values}, prev, t)
-        degrees = np.full((n_candidates, n, len(active)), INF)
+        degrees = np.empty((n_candidates, n, len(active)))
         for i, req in enumerate(automaton.requirements):
-            if req.postcondition is not None:
-                self._postcondition(i, req, post_env, active[i], degrees[:, :, i])
+            degrees[:, :, i] = self._postcondition(i, req, post_env, active[i])
+        fitness = np.minimum.reduce(degrees.reshape(n_candidates, -1), axis=1, initial=INF)
+        if np.count_nonzero(np.isnan(fitness)):  # the minimum carries any NaN degree
+            for i, req in enumerate(automaton.requirements):
+                self._note_undefined(i, req, degrees[:, :, i])
         self._raise_first()  # once, now that every stage has recorded where it fails
 
-        fitness = np.minimum.reduce(degrees.reshape(n_candidates, -1), axis=1, initial=INF)
         return MonitorBatch(
             times=times,
             requirement_indexes=automaton.requirement_indexes,
@@ -442,12 +444,17 @@ class _Engine:
                 )
         return values
 
-    def _postcondition(self, i: int, req, env: ArrayEnv, live: np.ndarray, out) -> None:
-        """Write the degrees into ``out`` where ``live``; ``out`` holds +inf elsewhere."""
+    def _postcondition(self, i: int, req, env: ArrayEnv, live: np.ndarray):
+        """The requirement's degrees where ``live``, +inf elsewhere."""
+        if req.postcondition is None:
+            return INF
         env.zero_division = False
-        np.copyto(out, degree_array(req.postcondition, env, live), where=live)
+        degree = degree_array(req.postcondition, env, live)
         self._note_division(env, (3, i, 0))
-        undefined = np.isnan(out)
+        return np.where(live, degree, INF)
+
+    def _note_undefined(self, i: int, req, degrees: np.ndarray) -> None:
+        undefined = np.isnan(degrees)
         if np.count_nonzero(undefined):
             self.errors.append(
                 (undefined, (3, i, 1), lambda c, k, t, idx=req.index: UndefinedDegreeError(idx, t))

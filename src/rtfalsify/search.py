@@ -46,11 +46,12 @@ VACUOUS_PENALTY = 1e15
 # most candidate-samples in one uniform-random batch (195 candidates of a
 # 21-sample trace, at least one candidate); every batch but the budget's last
 # is full, so a search evaluates at most one batch past its first test case.
-# A batch has a fixed cost of about 100 us; per candidate, batches of 195 to
-# 390 cost least, and larger ones cost more again as their temporaries outgrow
-# the cache. Of 2^10..2^13, this size runs acceptance criterion 5's grid
-# fastest, since a larger batch also wastes more candidates past an early test
-# case (BENCH_6.json)
+# On a 2-vCPU Xeon (numpy 2.4.6, omm-rt0..2), a batch of one omm candidate
+# costs 80-115 us, nearly all of it fixed cost, and one of 195 about 200-280
+# us. Per candidate, batches of 195 to 390 cost least, and larger ones cost
+# more again as their temporaries outgrow the cache. Of 2^10..2^13, this size
+# runs acceptance criterion 5's grid fastest, since a larger batch also wastes
+# more candidates past an early test case (BENCH_6.json)
 BATCH_SAMPLES = 1 << 12
 
 UNIFORM_RANDOM = "uniform-random"
@@ -148,7 +149,15 @@ class ParameterizedInput:
 
     @cached_property
     def times(self) -> np.ndarray:
-        return _read_only(np.arange(n_samples_for(self.horizon, self.dt)) * self.dt)
+        n = n_samples_for(self.horizon, self.dt)
+        try:
+            times = np.arange(n) * self.dt
+        except (MemoryError, ValueError):  # past numpy's limit on array sizes, or out of memory
+            times = np.empty(0)
+        if times.size != n:  # n >= 1; near 2**63 numpy's arange returns an empty array
+            sizes = f"horizon {self.horizon!r} / dt {self.dt!r} gives {n:.4g} samples"
+            raise ValueError(f"{sizes}, too many for an array")
+        return _read_only(times)
 
     def instantiate(self, params: Sequence[float]) -> Trace:
         """Build the input trace for one parameter vector."""

@@ -228,22 +228,49 @@ def test_falsify_non_finite_argument_is_usage_error(tmp_path, capsys, option, va
 
 
 @pytest.mark.parametrize(
-    "sizes",
+    "sizes, message",
     [
-        ("--horizon", "1e300", "--dt", "1e-300"),  # horizon / dt overflows to inf
-        ("--dt", "1e-300"),  # a finite sample count past what numpy can allocate
+        # horizon / dt overflows to inf
+        (("--horizon", "1e300", "--dt", "1e-300"), "horizon / dt is not finite"),
+        # a finite sample count past what numpy can allocate
+        (("--dt", "1e-300"), "horizon 10.0 / dt 1e-300 gives 1e+301 samples, too many"),
     ],
     ids=["non-finite-count", "too-many-samples"],
 )
-def test_falsify_unusable_sample_count_is_usage_error(tmp_path, capsys, sizes):
+def test_falsify_unusable_sample_count_is_usage_error(tmp_path, capsys, sizes, message):
     out = tmp_path / "run"
     code = run_cli(
         "falsify", "--model", "omm-v1", "--table", "omm-rt0", "--budget", "5",
         "--out", str(out), *sizes,
     )
     assert code == 2
-    assert_one_usage_line(capsys.readouterr().err)
+    assert assert_one_usage_line(capsys.readouterr().err).startswith(
+        f"usage error: --horizon/--dt: {message}"
+    )
     assert not out.exists()  # rejected before any search or output file
+
+
+def test_falsify_sample_count_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    # 10 / 1e-9 samples would take 75 GiB; the allocation is faked, never made
+    arange = np.arange
+
+    def refuse_large(n, *args, **kwargs):
+        if isinstance(n, int) and n > 10**9:
+            raise MemoryError(f"Unable to allocate array with shape ({n},)")
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", refuse_large)
+    out = tmp_path / "run"
+    code = run_cli(
+        "falsify", "--model", "omm-v1", "--table", "omm-rt0", "--budget", "5",
+        "--out", str(out), "--dt", "1e-9",
+    )
+    assert code == 2
+    assert assert_one_usage_line(capsys.readouterr().err) == (
+        "usage error: --horizon/--dt: horizon 10.0 / dt 1e-09 gives 1e+10 samples,"
+        " too many for an array\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -450,6 +450,32 @@ def test_recurrent_batch_equals_batches_of_one():
     assert same_floats(monitor_batch(automaton, {"x": x}, times).outputs["y"], expected)
 
 
+@pytest.mark.parametrize("nan_first", [True, False], ids=["nan-then-divide", "divide-then-nan"])
+@pytest.mark.parametrize(
+    "divide_at, first", [(1, "divides"), (4, "nan")], ids=["divides-earlier", "divides-later"]
+)
+def test_batch_raises_the_error_of_its_earliest_failing_candidate(nan_first, divide_at, first):
+    # the NaN degrees are looked for only once the fitness is NaN; the division is
+    # recorded as its postcondition is evaluated, and the earlier step must still win
+    automaton = simple_table(
+        "table T\ninputs x\nreq 1\n  pre x > 5\n  post " + NAN_POST + "\n"
+        "req 2\n  post 1 / (x + 1) > -100\n"
+    )
+    rows = {"fine": [0.0] * 5, "nan": [0.0, 0.0, 0.0, 9.0, 0.0], "divides": [0.0] * 5}
+    rows["divides"][divide_at] = -1.0
+    order = ["fine", "nan", "divides"] if nan_first else ["fine", "divides", "nan"]
+    times = np.arange(5.0)
+    errors = (DivisionByZeroError, MonitorError)
+    with pytest.raises(errors) as alone:
+        monitor_batch(automaton, {"x": np.array([rows[first]])}, times)
+    with pytest.raises(errors) as batch:
+        monitor_batch(automaton, {"x": np.array([rows[name] for name in order])}, times)
+    assert type(batch.value) is type(alone.value)
+    assert str(batch.value) == str(alone.value)
+    expected = DivisionByZeroError if first == "divides" else UndefinedDegreeError
+    assert type(batch.value) is expected
+
+
 def assert_batch_equals_batches_of_one(automaton, signals, times):
     batch = monitor_batch(automaton, signals, times)
     for c in range(len(batch.fitness)):

@@ -102,10 +102,18 @@ def test_arity_and_bounds_errors():
         pi.instantiate([1.0, 99.0, 10.0])
 
 
-@pytest.mark.parametrize("horizon, dt", [(1e300, 1e-300), (10.0, 1e-300)])
-def test_unusable_sample_count_fails_at_construction(horizon, dt):
-    # neither count can be allocated, so the check costs no memory
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize(
+    "horizon, dt, message",
+    [
+        (1e300, 1e-300, "not finite"),
+        (10.0, 1e-300, "too many for an array"),
+        # numpy's arange gives an empty array for 2**63 + 1, not an error
+        (2.0**63, 1.0, "too many for an array"),
+    ],
+)
+def test_unusable_sample_count_fails_at_construction(horizon, dt, message):
+    # no count here can be allocated, so the check costs no memory
+    with pytest.raises(ValueError, match=message):
         single_signal_pi(horizon=horizon, dt=dt)
 
 

@@ -128,26 +128,63 @@ def test_plant_demo_is_bounded_and_deterministic():
         assert np.array_equal(out1.samples[sig], out2.samples[sig])
 
 
-@pytest.mark.parametrize("name", sorted(MODEL_PRESETS))
-def test_batched_models_match_their_step_adapter(name):
+def same_bits(a, b) -> bool:
+    """Equal bit for bit: -0.0 differs from 0.0, and a NaN equals only the same NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# clamp bounds with zeros of either sign, and the default bounds
+CLAMPS = [(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0), (-0.0, 0.0), (-0.49, 10.2)]
+
+
+def clamp_edge_inputs(clamp, n=1200):
+    """(3, n) inputs that put zeros of both signs, NaNs of both signs and the bounds
+    themselves through the clamp, mixed with uniform values; long enough for numpy's
+    vector loops, not only their scalar tail."""
+    rng = np.random.default_rng(11)
+    edges = np.array([0.0, -0.0, np.nan, -np.nan, *clamp, *(-b for b in clamp)])
+    u1 = rng.choice(np.concatenate([edges, rng.uniform(-2.0, 12.0, size=8)]), size=(3, n))
+    u2 = rng.choice(np.array([0.0, -0.0, clamp[0], clamp[1]]), size=(3, n))
+    return {"u1": u1, "u2": u2}
+
+
+@pytest.mark.parametrize(
+    "name, model, inputs",
+    [(name, MODEL_PRESETS[name].factory(), None) for name in sorted(MODEL_PRESETS)]
+    + [("omm-v0", GainCrossModel(g21=0.5, clamp=c), clamp_edge_inputs(c)) for c in CLAMPS],
+    ids=sorted(MODEL_PRESETS) + [f"clamp{c}" for c in CLAMPS],
+)
+def test_batched_models_match_their_step_adapter(name, model, inputs):
     preset = MODEL_PRESETS[name]
-    model = preset.factory()
-    rng = np.random.default_rng(3)
-    n = min(n_samples_for(preset.horizon, preset.dt), 500)
-    inputs = {s: rng.uniform(lo, hi, size=(3, n)) for s, (lo, hi) in preset.input_bounds.items()}
+    if inputs is None:
+        rng = np.random.default_rng(3)
+        n = min(n_samples_for(preset.horizon, preset.dt), 500)
+        inputs = {s: rng.uniform(lo, hi, size=(3, n)) for s, (lo, hi) in preset.input_bounds.items()}
     batched = model.run_batch(inputs, preset.dt)
     stepped = SystemModel.run_batch(model, inputs, preset.dt)  # the reset/step adapter
     for sig in model.outputs:
-        assert batched[sig].tolist() == stepped[sig].tolist()
+        assert same_bits(batched[sig], stepped[sig])
 
 
-def test_cross_gain_clamp_is_min_of_max():
+@pytest.mark.parametrize("clamp", CLAMPS, ids=str)
+def test_cross_gain_clamp_is_min_of_max(clamp):
     # ties keep the first operand, as min(max(x, lo), hi) does: the sign of a zero survives
-    model = GainCrossModel(clamp=(0.0, 1.0))
-    u = [-0.0, 0.0, -1.0, 0.5, 3.0, float("nan")]
-    out = model.run_batch({"u1": np.array([u]), "u2": np.zeros((1, len(u)))}, 1.0)
-    expected = [min(max(1.0 * a + 0.0 * 0.0, 0.0), 1.0) for a in u]
-    assert [repr(v) for v in out["y1"][0].tolist()] == [repr(v) for v in expected]
+    model = GainCrossModel(g12=0.5, g21=-0.0, clamp=clamp)
+    inputs = clamp_edge_inputs(clamp)
+    out = model.run_batch(inputs, 1.0)
+    lo, hi = clamp
+    pairs = list(zip(inputs["u1"].ravel().tolist(), inputs["u2"].ravel().tolist()))
+    y1 = [min(max(1.0 * a + -0.0 * b, lo), hi) for a, b in pairs]
+    y2 = [min(max(1.0 * b + 0.5 * a, lo), hi) for a, b in pairs]
+    assert same_bits(out["y1"].ravel(), y1)
+    assert same_bits(out["y2"].ravel(), y2)
+
+
+@pytest.mark.parametrize("clamp", [(float("nan"), 1.0), (0.0, float("nan"))])
+def test_cross_gain_clamp_bounds_must_not_be_nan(clamp):
+    with pytest.raises(ValueError, match="NaN"):
+        GainCrossModel(clamp=clamp)
 
 
 def test_plant_demo_reset_is_reproducible():
