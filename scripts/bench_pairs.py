@@ -5,12 +5,13 @@ Usage (from anywhere):
     git archive PARENT_REV | tar -x -C /tmp/parent
     git archive CHANGE_REV | tar -x -C /tmp/change
     python3 scripts/bench_pairs.py /tmp/parent /tmp/change --out BENCH_<n>.json \\
-        --change "what the change does" [--pairs 10] [--seed 0] [--seconds 55] \\
+        --change "what the change does" [--pairs 10] [--seed 0] \\
         [--workload omm-grid --workload cli]
 
 For each workload (default: those gated in the change's BENCHMARK.json) it
 runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0``
-``--pairs`` times in each checkout, one run at a time. The side that runs
+``--pairs`` times in each checkout, one run at a time, with T the change's
+``run_seconds``. The side that runs
 first alternates from pair to pair, starting with the parent. The file is
 rewritten after every run, so an interrupted run keeps the pairs it
 finished.
@@ -18,9 +19,9 @@ finished.
 Per gated metric the file holds every run, each side's median and quartiles
 (``statistics.quantiles(method="inclusive")``), the pairs the change won,
 and two verdicts: ``within_bound`` (the change's median is no worse than the
-parent's by more than the metric's bound) and ``gain_shown`` (the change won
-at least nine tenths of the pairs, and the medians differ by more than the
-parent's interquartile range).
+parent's by more than the metric's bound) and ``gain_shown`` (at least ten
+pairs, the change won at least nine tenths of them, and the medians differ by
+more than the parent's interquartile range).
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+MIN_GAIN_PAIRS = 10  # fewer pairs cannot show a gain
+
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -42,7 +45,6 @@ def parse_args(argv=None):
     parser.add_argument("--workload", action="append", help="repeatable; default: the gated ones")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=55.0)
     return parser.parse_args(argv)
 
 
@@ -83,7 +85,7 @@ def metric_summary(spec: dict, parent: list[float], change: list[float]) -> dict
         "change_wins_pairs": wins,
         "worse_by_share": round(worse_by, 3),
         "within_bound": worse_by <= spec["bound"],
-        "gain_shown": wins >= 0.9 * len(parent) and -sign * (c["median"] - p["median"]) > parent_iqr,
+        "gain_shown": len(parent) >= MIN_GAIN_PAIRS and wins >= 0.9 * len(parent) and -sign * (c["median"] - p["median"]) > parent_iqr,
         "runs": {"parent": [round(v, 4) for v in parent], "change": [round(v, 4) for v in change]},
     }
 
@@ -110,11 +112,12 @@ def main(argv=None) -> int:
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     specs = benchmark["end_to_end"]
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
     result = {
         "change": args.description,
         "environment": {},
         "method": (
-            f"python3 bench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} "
+            f"python3 bench/run.py --workload W --seed {args.seed} --seconds {seconds:g} "
             f"--trace 0, run by scripts/bench_pairs.py from a clean export of the parent commit "
             f"and of the change; {args.pairs} pairs per workload, run one after another, the side "
             f"that runs first alternating from pair to pair; workloads in the order "
@@ -130,7 +133,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             first.append(order[0])
             for side in order:
-                run = bench_run(sides[side], workload, args.seed, args.seconds)
+                run = bench_run(sides[side], workload, args.seed, seconds)
                 runs[side].append(run)
                 env = run["environment"]
                 result["environment"] = {k: env[k] for k in ("cpu", "nproc", "python", "numpy")}

@@ -105,6 +105,12 @@ def near_boundary(run, eps: float = 1e-9) -> bool:
     return any(abs(d) < eps for d in finite_degrees(run))
 
 
+def same_bits(a, b) -> bool:
+    """Equal bit for bit: -0.0 differs from 0.0, and a NaN equals only the same NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 # --- random generators -------------------------------------------------------
 
 _INPUTS = ("a", "b")

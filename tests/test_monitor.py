@@ -18,6 +18,7 @@ from rtfalsify.monitor import (
 from rtfalsify.search import ParameterizedInput, SignalShape
 from rtfalsify.sim import MODEL_PRESETS, SignalMismatchError, Trace, make_model, simulate_batch
 from rtfalsify.table import RequirementsTable, load_bundled_table, parse_table
+from oracle import same_bits
 
 INF = math.inf
 
@@ -408,12 +409,6 @@ def preset_input(name):
     return ParameterizedInput(shapes=shapes, horizon=preset.horizon, dt=preset.dt)
 
 
-def same_floats(a, b):
-    """Equal bit for bit, so -0.0 differs from 0.0."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 @pytest.mark.parametrize(
     "model_name, table_name, n",
     [("plant-demo", "sc", 16)]
@@ -447,7 +442,7 @@ def test_recurrent_batch_equals_batches_of_one():
         for k, v in enumerate(row):
             y = y + v if v > -0.5 else y / 2
             expected[c, k] = y
-    assert same_floats(monitor_batch(automaton, {"x": x}, times).outputs["y"], expected)
+    assert same_bits(monitor_batch(automaton, {"x": x}, times).outputs["y"], expected)
 
 
 @pytest.mark.parametrize("nan_first", [True, False], ids=["nan-then-divide", "divide-then-nan"])
@@ -480,8 +475,8 @@ def assert_batch_equals_batches_of_one(automaton, signals, times):
     batch = monitor_batch(automaton, signals, times)
     for c in range(len(batch.fitness)):
         one = monitor_batch(automaton, {s: v[c : c + 1] for s, v in signals.items()}, times)
-        assert same_floats(batch.degrees[c], one.degrees[0])
-        assert same_floats(batch.fitness[c], one.fitness[0])
+        assert same_bits(batch.degrees[c], one.degrees[0])
+        assert same_bits(batch.fitness[c], one.fitness[0])
         assert batch.outputs.keys() == one.outputs.keys()
         for name, values in batch.outputs.items():
-            assert same_floats(values[c], one.outputs[name][0])
+            assert same_bits(values[c], one.outputs[name][0])

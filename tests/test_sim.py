@@ -19,6 +19,7 @@ from rtfalsify.sim import (
     simulate,
     write_trace_csv,
 )
+from oracle import same_bits
 
 
 def constant_inputs(n, u1, u2, dt=0.5):
@@ -126,12 +127,6 @@ def test_plant_demo_is_bounded_and_deterministic():
         assert np.all(np.isfinite(out1.samples[sig]))
         assert np.all(np.abs(out1.samples[sig]) < 1e3)
         assert np.array_equal(out1.samples[sig], out2.samples[sig])
-
-
-def same_bits(a, b) -> bool:
-    """Equal bit for bit: -0.0 differs from 0.0, and a NaN equals only the same NaN."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 # clamp bounds with zeros of either sign, and the default bounds
