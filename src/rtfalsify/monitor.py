@@ -156,13 +156,13 @@ def compile_table(table: RequirementsTable) -> MonitorAutomaton:
 
 @dataclass
 class MonitorRun:
-    """Everything one monitored run produced."""
+    """One candidate's run; ``times``, ``degrees`` and ``outputs`` are views of the batch's."""
 
-    times: list[float]
+    times: np.ndarray  # (samples,)
     requirement_indexes: tuple[int, ...]
-    degrees: list[list[float]]  # [step][requirement]
-    running: list[float]  # running minimum after each step
-    outputs: dict[str, list[float]]
+    degrees: np.ndarray  # (samples, requirements), +inf where a row is inactive
+    running: np.ndarray  # (samples,) running minimum after each step
+    outputs: dict[str, np.ndarray]  # (samples,) per table output
     fitness: float
 
 
@@ -177,15 +177,15 @@ class MonitorBatch:
     fitness: np.ndarray  # (candidates,)
 
     def run(self, c: int) -> MonitorRun:
-        """Candidate ``c``'s run, with plain-float lists."""
+        """Candidate ``c``'s run, sharing the batch's arrays: copy them before changing them."""
         degrees = self.degrees[c]
         running = np.minimum.accumulate(degrees.min(axis=1, initial=INF))
         return MonitorRun(
-            times=self.times.tolist(),
+            times=self.times,
             requirement_indexes=self.requirement_indexes,
-            degrees=degrees.tolist(),
-            running=_first_zero_sign(running, degrees.ravel()).tolist(),
-            outputs={name: values[c].tolist() for name, values in self.outputs.items()},
+            degrees=degrees,
+            running=_first_zero_sign(running, degrees.ravel()),
+            outputs={name: values[c] for name, values in self.outputs.items()},
             fitness=float(self.fitness[c]),
         )
 
@@ -521,6 +521,5 @@ def write_degree_csv(run: MonitorRun, path: str) -> None:
         writer.writerow(
             ["t", *(f"ff_{idx}" for idx in run.requirement_indexes), "ff_total_running"]
         )
-        # one lazy column per requirement: transposing the rows would copy them all
-        degrees = (map(operator.itemgetter(j), run.degrees) for j in range(len(run.requirement_indexes)))
-        write_csv_columns(fh, [run.times, *degrees, run.running])
+        # Python floats: under numpy 2 the repr of an np.float64 is "np.float64(...)"
+        write_csv_columns(fh, [c.tolist() for c in (run.times, *run.degrees.T, run.running)])

@@ -312,11 +312,8 @@ def violated_requirements(run: MonitorRun) -> tuple[int, ...]:
     """Indexes of requirements whose degree hit the (negative) overall minimum."""
     if not (run.fitness < 0):
         return ()
-    hit = []
-    for j, idx in enumerate(run.requirement_indexes):
-        if any(row[j] == run.fitness for row in run.degrees):
-            hit.append(idx)
-    return tuple(hit)
+    hit = (run.degrees == run.fitness).any(axis=0)
+    return tuple(idx for idx, h in zip(run.requirement_indexes, hit) if h)
 
 
 def _finite_fitness(x: float) -> float:

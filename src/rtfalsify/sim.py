@@ -310,34 +310,39 @@ def read_trace_csv(path: str) -> Trace:
     The first column must be a uniformly spaced time axis starting at 0;
     the step size is inferred from it. Column names must be distinct.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceFormatError(f"{path}: empty file") from None
-        if not header or header[0] != "t":
-            raise TraceFormatError(f"{path}: first column must be 't'")
-        names = header[1:]
-        if not names:
-            raise TraceFormatError(f"{path}: no signal columns")
-        seen: set[str] = set()
-        for name in header:
-            if name in seen:
-                raise TraceFormatError(f"{path}: repeated column '{name}'")
-            seen.add(name)
-        # one flat buffer of floats, row after row: a list per row would hold about five
-        # times the memory, and a long replay trace is the CLI's largest allocation
-        cells = array("d")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise TraceFormatError(f"{path}:{lineno}: expected {len(header)} columns")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                cells.extend(map(float, row))
-            except ValueError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
+                header = next(reader)
+            except StopIteration:
+                raise TraceFormatError(f"{path}: empty file") from None
+            if not header or header[0] != "t":
+                raise TraceFormatError(f"{path}: first column must be 't'")
+            names = header[1:]
+            if not names:
+                raise TraceFormatError(f"{path}: no signal columns")
+            seen: set[str] = set()
+            for name in header:
+                if name in seen:
+                    raise TraceFormatError(f"{path}: repeated column '{name}'")
+                seen.add(name)
+            # one flat buffer of floats, row after row: a list per row would hold about five
+            # times the memory, and a long replay trace is the CLI's largest allocation
+            cells = array("d")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise TraceFormatError(f"{path}:{lineno}: expected {len(header)} columns")
+                try:
+                    cells.extend(map(float, row))
+                except ValueError as exc:
+                    raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise TraceFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:  # decoded a block at a time, so no line number
+        raise TraceFormatError(f"{path}: not valid UTF-8") from None
     data = np.frombuffer(cells, dtype=float).reshape(-1, len(header))
     if len(data) < 2:
         raise TraceFormatError(f"{path}: need at least two samples to infer dt")

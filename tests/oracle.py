@@ -10,8 +10,6 @@ sign-of-fitness agreement is a real check of the quantitative semantics.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from rtfalsify.expr import (
@@ -96,13 +94,13 @@ def replay_violation(table: RequirementsTable, trace: Trace) -> bool:
     return violated
 
 
-def finite_degrees(run) -> list[float]:
-    return [d for row in run.degrees for d in row if math.isfinite(d)]
+def finite_degrees(run) -> np.ndarray:
+    return run.degrees[np.isfinite(run.degrees)]
 
 
 def near_boundary(run, eps: float = 1e-9) -> bool:
     """True when any emitted finite degree sits inside the exclusion band."""
-    return any(abs(d) < eps for d in finite_degrees(run))
+    return bool((np.abs(finite_degrees(run)) < eps).any())
 
 
 def same_bits(a, b) -> bool:

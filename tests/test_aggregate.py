@@ -28,24 +28,24 @@ def run_degrees(steps):
 
 def test_min_of_step():
     run = run_degrees([(0.25, INF, 1.3)])
-    assert run.degrees == [[0.25, INF, 1.3]]
-    assert run.running == [0.25] and run.fitness == 0.25
+    assert run.degrees.tolist() == [[0.25, INF, 1.3]]
+    assert run.running.tolist() == [0.25] and run.fitness == 0.25
 
 
 def test_running_value_wins_over_larger_step():
-    assert run_degrees([(-0.1,), (5.0,)]).running == [-0.1, -0.1]
+    assert run_degrees([(-0.1,), (5.0,)]).running.tolist() == [-0.1, -0.1]
 
 
 def test_empty_step_is_identity():
-    assert run_degrees([(2.0,), (INF,)]).running == [2.0, 2.0]
+    assert run_degrees([(2.0,), (INF,)]).running.tolist() == [2.0, 2.0]
     empty = compile_table(RequirementsTable(name="Empty", inputs=("x",)))
     run = run_monitor(empty, Trace(dt=1.0, samples={"x": np.zeros(3)}))
-    assert run.degrees == [[], [], []] and run.running == [INF] * 3
+    assert run.degrees.tolist() == [[], [], []] and run.running.tolist() == [INF] * 3
 
 
 def test_finalize_sequence():
     run = run_degrees([(1.0,), (0.2,), (0.7,)])
-    assert run.running == [1.0, 0.2, 0.2] and run.fitness == 0.2
+    assert run.running.tolist() == [1.0, 0.2, 0.2] and run.fitness == 0.2
 
 
 def test_finalize_without_steps_is_vacuous():
@@ -54,7 +54,7 @@ def test_finalize_without_steps_is_vacuous():
 
 def test_negative_infinity_absorbs():
     run = run_degrees([(0.5,), (1.0,), (-INF,), (3.0,)])
-    assert run.running == [0.5, 0.5, -INF, -INF] and run.fitness == -INF
+    assert run.running.tolist() == [0.5, 0.5, -INF, -INF] and run.fitness == -INF
 
 
 def test_online_equals_batch_fold():
@@ -62,7 +62,7 @@ def test_online_equals_batch_fold():
     run = run_degrees(steps)
     flattened = [d for step in steps for d in step]
     assert run.fitness == min(flattened, default=INF)
-    assert run.running == [min(flattened[: 2 * (k + 1)]) for k in range(len(steps))]
+    assert run.running.tolist() == [min(flattened[: 2 * (k + 1)]) for k in range(len(steps))]
 
 
 def test_aggregation_is_order_insensitive():
@@ -77,4 +77,4 @@ def test_equal_minima_keep_the_first():
     assert repr(run_degrees([(0.0, -0.0)]).fitness) == "0.0"
     assert repr(run_degrees([(-0.0, 0.0)]).fitness) == "-0.0"
     run = run_degrees([(1.0, -0.0), (0.0, 2.0), (-1.0, INF)])
-    assert [repr(x) for x in run.running] == ["-0.0", "-0.0", "-1.0"]
+    assert [repr(x) for x in run.running.tolist()] == ["-0.0", "-0.0", "-1.0"]

@@ -149,6 +149,45 @@ def test_monitor_repeated_column_is_runtime_error(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "repeated column 'x'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"t,x\n0.0,1.0\n1.0," + b"1" * 200_000 + b"\n", ":3: field larger than field limit"),
+        (b"t,x\n" + b"0.0,1.0\n" * 4000 + b"1.0,\xff\n", ": not valid UTF-8"),
+    ],
+    ids=["oversized-field", "not-utf8"],
+)
+def test_monitor_unreadable_trace_is_one_runtime_error_line(tmp_path, capsys, data, message):
+    table_path = tmp_path / "pos.rt"
+    table_path.write_text("table T\ninputs x\nreq 1\n  post x > 0\n")
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_bytes(data)
+    assert run_cli("monitor", str(table_path), str(trace_path), "--out", str(tmp_path)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {trace_path}{message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_monitor_writes_the_degree_csv(tmp_path, capsys):
+    table_path = tmp_path / "signs.rt"
+    table_path.write_text(
+        "table T\ninputs x, g\nreq 1\n  pre g > 0\n  post x > 0\nreq 2\n  pre g > 0\n  post g < 2\n"
+    )
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("t,x,g\n0,5,-1\n1,-0.0,1\n2,-inf,1\n3,inf,1.5\n")
+    out_dir = tmp_path / "mon"
+    assert run_cli("monitor", str(table_path), str(trace_path), "--out", str(out_dir)) == 0
+    assert capsys.readouterr().out.startswith("fitness -inf\n")
+    assert (out_dir / "degrees.csv").read_bytes() == (
+        b"t,ff_1,ff_2,ff_total_running\r\n"
+        b"0.0,inf,inf,inf\r\n"
+        b"1.0,-0.0,1.0,-0.0\r\n"
+        b"2.0,-inf,1.0,-inf\r\n"
+        b"3.0,inf,0.5,-inf\r\n"
+    )
+
+
 def test_monitor_missing_column_fails(tmp_path, sc_path):
     trace_path = tmp_path / "trace.csv"
     write_trace_csv(Trace(dt=1.0, samples={"F_s": np.zeros(4)}), str(trace_path))

@@ -81,7 +81,7 @@ def test_init_phases_on_sc(sc_table):
     run = run_monitor(compile_table(sc_table), sc_trace([5.0] * 7))
     # req 1 (no guard) is active at once, req 2 waits for t = 30, req 3 enters
     # WT at step 0 and reaches POA when its 5 s have elapsed
-    assert run.degrees[0][1:] == [INF, INF]
+    assert run.degrees[0, 1:].tolist() == [INF, INF]
     assert active_steps(run, 0) == list(range(7))
     assert active_steps(run, 2) == [5, 6]
 
@@ -96,13 +96,13 @@ def test_init_time_guard_enters_poa_immediately():
         "table T\ninputs x\nreq 1\n  pre t >= 0\n  post x > 0\n"
     )
     run = run_monitor(automaton, Trace(dt=1.0, samples={"x": np.array([1.0])}))
-    assert run.degrees == [[1.0]]
+    assert run.degrees.tolist() == [[1.0]]
 
 
 def test_init_executes_actions(sc_table):
     run = run_monitor(compile_table(sc_table), sc_trace([5.0]))
     # prev(F_s) reads the declared init of F_s = 4.0 at step 0
-    assert run.outputs == {"F_diff": [1.0]}
+    assert {name: v.tolist() for name, v in run.outputs.items()} == {"F_diff": [1.0]}
 
 
 def test_window_guard_fires_at_thirty(sc_table):
@@ -127,7 +127,7 @@ def test_poa_returns_to_prc_when_guard_drops():
         "table T\ninputs x\nreq 1\n  pre x > 0\n  post x < 10\n"
     )
     run = run_monitor(automaton, Trace(dt=1.0, samples={"x": np.array([1.0, -1.0, 2.0])}))
-    assert run.degrees == [[9.0], [INF], [8.0]]
+    assert run.degrees.tolist() == [[9.0], [INF], [8.0]]
 
 
 def test_one_transition_per_step_for_positive_duration():
@@ -136,7 +136,7 @@ def test_one_transition_per_step_for_positive_duration():
         "table T\ninputs x\nreq 1\n  pre x > 0\n  dur 1\n  post x > 5\n"
     )
     run = run_monitor(automaton, Trace(dt=1.0, samples={"x": np.array([-1.0, 7.0, 7.0])}))
-    assert run.degrees == [[INF], [INF], [2.0]]
+    assert run.degrees.tolist() == [[INF], [INF], [2.0]]
 
 
 def test_zero_duration_behaves_like_no_duration():
@@ -146,7 +146,7 @@ def test_zero_duration_behaves_like_no_duration():
     trace = Trace(dt=1.0, samples={"x": np.array(values)})
     run_zero = run_monitor(zero, trace)
     run_none = run_monitor(none, trace)
-    assert run_zero.degrees == run_none.degrees
+    assert run_zero.degrees.tolist() == run_none.degrees.tolist()
     assert run_zero.fitness == run_none.fitness
 
 
@@ -205,7 +205,7 @@ def test_agreeing_duplicate_actions_are_fine():
     )
     trace = Trace(dt=1.0, samples={"x": np.array([1.0, 2.0])})
     run = run_monitor(automaton, trace)
-    assert run.outputs["y"] == [1.0, 2.0]
+    assert run.outputs["y"].tolist() == [1.0, 2.0]
 
 
 def test_action_only_requirement_contributes_inf():
@@ -216,7 +216,7 @@ def test_action_only_requirement_contributes_inf():
     trace = Trace(dt=1.0, samples={"x": np.array([1.0, 2.0])})
     run = run_monitor(automaton, trace)
     assert run.fitness == INF
-    assert run.outputs["y"] == [1.0, 2.0]
+    assert run.outputs["y"].tolist() == [1.0, 2.0]
 
 
 def test_postcondition_can_read_current_action_output():
@@ -226,7 +226,7 @@ def test_postcondition_can_read_current_action_output():
     )
     trace = Trace(dt=1.0, samples={"x": np.array([3.0, -1.0])})
     run = run_monitor(automaton, trace)
-    assert run.degrees == [[6.0], [-2.0]]
+    assert run.degrees.tolist() == [[6.0], [-2.0]]
 
 
 # --- whole-run behavior ---------------------------------------------------------
@@ -375,7 +375,7 @@ def test_first_error_of_the_run_wins(rows, x, error, t):
 def test_short_circuit_guards_do_not_divide():
     automaton = simple_table("table T\ninputs x\nreq 1\n  pre x > 0 & 1 / x > 0\n  post x < 5\n")
     run = run_monitor(automaton, Trace(dt=1.0, samples={"x": np.array([0.0, 2.0])}))
-    assert run.degrees == [[INF], [3.0]]
+    assert run.degrees.tolist() == [[INF], [3.0]]
 
 
 DIVIDING_ROWS = [

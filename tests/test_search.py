@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import rtfalsify.search as search
-from rtfalsify.monitor import compile_table
+from rtfalsify.monitor import compile_table, run_monitor
 from rtfalsify.search import (
     ArityMismatchError,
     Evaluation,
@@ -18,7 +19,7 @@ from rtfalsify.search import (
     falsify,
     violated_requirements,
 )
-from rtfalsify.sim import NonFiniteOutputError, SystemModel, make_model
+from rtfalsify.sim import NonFiniteOutputError, SystemModel, Trace, make_model
 from rtfalsify.table import RequirementsTable, parse_table
 
 INF = math.inf
@@ -175,6 +176,26 @@ def test_evaluate_forced_violation(omm_pi, omm_tables):
     assert violated_requirements(ev.run) == (2,)
 
 
+@pytest.mark.parametrize(
+    "x, violated",
+    [
+        ([3.0, 1.0], (1, 3)),  # rows 1 and 3 tie at -1.0
+        ([3.0, INF], (2,)),  # row 2's degree is 10 - inf = -inf
+        ([3.0, 2.0], ()),  # a fitness of 0.0 is no violation
+    ],
+)
+def test_violated_requirements_are_the_rows_at_the_minimum(x, violated):
+    automaton = compile_table(
+        parse_table(
+            "table T\ninputs x\nreq 1\n  post x > 2\nreq 2\n  post x < 10\nreq 3\n  post 2 < x\n"
+        )
+    )
+    run = run_monitor(automaton, Trace(dt=1.0, samples={"x": np.array(x)}))
+    got = violated_requirements(run)
+    assert got == violated
+    assert json.dumps(list(got)) == json.dumps(list(violated))
+
+
 def test_evaluate_clean_model_never_negative(omm_pi, omm_tables):
     rng = np.random.default_rng(2)
     model = make_model("omm-v0")
@@ -245,6 +266,7 @@ def test_falsify_finds_cross_gain_fault(omm_pi, omm_tables):
     assert result.best_fitness < 0
     assert result.iterations <= 1500
     assert 2 in result.violated
+    assert json.loads(json.dumps(list(result.violated))) == list(result.violated)
 
 
 def test_falsify_unsatisfiable_requirement_is_nff(omm_pi, omm_tables):
@@ -392,8 +414,8 @@ def search_outcome(model, automaton, pi, cfg):
         [repr(p) for p in result.best_params.tolist()],
         result.violated,
         repr(best.fitness),
-        [[repr(d) for d in row] for row in best.run.degrees],
-        [repr(r) for r in best.run.running],
+        [[repr(d) for d in row] for row in best.run.degrees.tolist()],
+        [repr(r) for r in best.run.running.tolist()],
         {name: values.tolist() for name, values in best.trace.samples.items()},
     )
 

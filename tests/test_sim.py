@@ -235,12 +235,34 @@ def test_trace_csv_rejects_a_repeated_column(tmp_path):
         ("0.0,1.0\n1.0,oops\n", 3, "could not convert"),
         ("0.0,1.0\n\n1.0\n", 4, "expected 2 columns"),
         ("0.0,1.0,2.0\n", 2, "expected 2 columns"),
+        pytest.param(
+            "0.0,1.0\n1.0," + "1" * 200_000 + "\n", 3, "field larger", id="oversized-field"
+        ),
     ],
 )
 def test_trace_csv_names_the_bad_line(tmp_path, body, line, message):
     path = tmp_path / "bad.csv"
     path.write_text("t,x\n" + body)
     with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}:{line}: {message}"):
+        read_trace_csv(str(path))
+
+
+def test_trace_csv_oversized_header_field_names_line_1(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("t,x" + "x" * 200_000 + "\n0.0,1.0\n1.0,2.0\n")
+    with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}:1: field larger"):
+        read_trace_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"t,x\xff\n0.0,1.0\n1.0,2.0\n", b"t,x\n" + b"0.0,1.0\n" * 4000 + b"1.0,\xff\n"],
+    ids=["header", "later-row"],
+)
+def test_trace_csv_not_utf8_names_the_file(tmp_path, data):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(data)
+    with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: not valid UTF-8$"):
         read_trace_csv(str(path))
 
 
