@@ -275,6 +275,12 @@ def _build_run_setup(args: argparse.Namespace) -> tuple[ParameterizedInput, Sear
         pi = ParameterizedInput(shapes=tuple(shapes.values()), horizon=horizon, dt=dt)
     except ValueError as exc:  # the shapes are checked: only the sample count is left
         raise ValueError(f"--horizon/--dt: {exc}") from None
+    for shape in pi.shapes:  # more switches than samples make no new trace, only a huge box
+        if shape.discontinuities > pi.times.size:
+            raise argparse.ArgumentTypeError(
+                f"--input '{shape.name}': K={shape.discontinuities} exceeds the trace's "
+                f"{pi.times.size} samples"
+            )
 
     algorithm = UNIFORM_RANDOM if args.algo == "ur" else SIMULATED_ANNEALING
     sa = SAConfig(

@@ -46,12 +46,15 @@ VACUOUS_PENALTY = 1e15
 # most candidate-samples in one uniform-random batch (195 candidates of a
 # 21-sample trace, at least one candidate); every batch but the budget's last
 # is full, so a search evaluates at most one batch past its first test case.
-# On a 2-vCPU Xeon (numpy 2.4.6, omm-rt0..2), a batch of one omm candidate
-# costs 80-115 us, nearly all of it fixed cost, and one of 195 about 200-280
-# us. Per candidate, batches of 195 to 390 cost least, and larger ones cost
-# more again as their temporaries outgrow the cache. Of 2^10..2^13, this size
-# runs acceptance criterion 5's grid fastest, since a larger batch also wastes
-# more candidates past an early test case (BENCH_6.json)
+# On a 2-vCPU Xeon (4 MiB L2, numpy 2.4.6, omm-rt0..2), a batch of one omm
+# candidate costs 80-115 us, nearly all of it fixed cost, and one of 195 about
+# 200-280 us. Larger batches fault pages: glibc returns the freed top of the
+# heap to the kernel after each batch, and the next batch faults it back in.
+# A pass of criterion 5's grid took 61-93 minor faults at 2^12, 2,203-2,708 at
+# 2^13 and 4,366-6,295 at 780 candidates, and 2^13 and 780 ran 0.94x and 0.80x
+# as fast (median of 12 interleaved passes; 1.07x and 0.98x with glibc's trim
+# threshold raised). This size also wastes fewer candidates past an early test
+# case, and of 2^10..2^13 runs the grid fastest (BENCH_6.json)
 BATCH_SAMPLES = 1 << 12
 
 UNIFORM_RANDOM = "uniform-random"
@@ -167,7 +170,8 @@ class ParameterizedInput:
     def instantiate_batch(self, params: np.ndarray) -> dict[str, np.ndarray]:
         """The input signals of many parameter vectors, one per row of ``params``.
 
-        Returns arrays of shape (rows, samples), one per signal.
+        Returns one C-contiguous array of shape (rows, samples) per signal,
+        independent of ``params``.
         """
         spec = self.parameters
         values = np.asarray(params, dtype=float)
@@ -182,34 +186,19 @@ class ParameterizedInput:
             p = spec[j]
             raise OutOfBoundsError(f"{p.name}={values[row, j]!r} outside [{p.lower}, {p.upper}]")
 
-        switches, owners, first_levels = self._layout
-        n_rows, n_params = values.shape
-        n_samples = self.times.size
-        # (switches, rows, samples): which switch times lie at or before each sample
-        passed = values.T[switches][:, :, None] <= self.times
-        # a sample takes the level after as many of its signal's switches as it has passed;
-        # the counts are small whole numbers, exact as floats
-        index = owners @ passed.reshape(switches.size, n_rows * n_samples)
-        index = index.reshape(len(self.shapes), n_rows, n_samples)
-        index += first_levels[:, None, None] + np.arange(0, n_rows * n_params, n_params)[:, None]
-        levels = values.take(index.astype(np.intp))  # flat positions into ``values``
-        return {shape.name: signal for shape, signal in zip(self.shapes, levels)}
-
-    @cached_property
-    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The columns of all switch times, which signal owns each switch (a 0/1
-        matrix of signals x switches), and the column of each signal's first level."""
-        switches: list[int] = []
-        first_levels: list[int] = []
-        owners = np.zeros((len(self.shapes), sum(s.discontinuities for s in self.shapes)))
-        offset = 0
-        for g, shape in enumerate(self.shapes):
+        columns = np.ascontiguousarray(values.T)[:, :, None]  # (parameters, rows, 1)
+        signals, offset = {}, 0
+        for shape in self.shapes:
             k = shape.discontinuities
-            owners[g, len(switches) : len(switches) + k] = 1.0
-            first_levels.append(offset)
-            switches.extend(range(offset + k + 1, offset + 2 * k + 1))
+            levels = columns[offset : offset + k + 1]
+            switches = columns[offset + k + 1 : offset + 2 * k + 1]
             offset += 2 * k + 1
-        return np.array(switches, dtype=np.intp), owners, np.array(first_levels)
+            if k == 1:  # the default shape: one select is cheaper than the gather below
+                signals[shape.name] = np.where(self.times >= switches[0], levels[1], levels[0])
+            else:  # a sample takes the level after as many switches as lie at or before it
+                passed = (switches <= self.times).sum(axis=0)
+                signals[shape.name] = np.take_along_axis(levels[:, :, 0].T, passed, axis=1)
+        return signals
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

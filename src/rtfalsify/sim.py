@@ -330,15 +330,17 @@ def read_trace_csv(path: str) -> Trace:
             # one flat buffer of floats, row after row: a list per row would hold about five
             # times the memory, and a long replay trace is the CLI's largest allocation
             cells = array("d")
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:  # reader.line_num is the record's last line, not its index
                 if not row:
                     continue
                 if len(row) != len(header):
-                    raise TraceFormatError(f"{path}:{lineno}: expected {len(header)} columns")
+                    raise TraceFormatError(
+                        f"{path}:{reader.line_num}: expected {len(header)} columns"
+                    )
                 try:
                     cells.extend(map(float, row))
                 except ValueError as exc:
-                    raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
+                    raise TraceFormatError(f"{path}:{reader.line_num}: {exc}") from None
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         raise TraceFormatError(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError:  # decoded a block at a time, so no line number

@@ -154,8 +154,9 @@ def test_monitor_repeated_column_is_runtime_error(tmp_path, capsys):
     [
         (b"t,x\n0.0,1.0\n1.0," + b"1" * 200_000 + b"\n", ":3: field larger than field limit"),
         (b"t,x\n" + b"0.0,1.0\n" * 4000 + b"1.0,\xff\n", ": not valid UTF-8"),
+        (b't,x\n0.0,"1.0\n"\n1.0,2.0,3.0\n', ":4: expected 2 columns"),
     ],
-    ids=["oversized-field", "not-utf8"],
+    ids=["oversized-field", "not-utf8", "ragged-row-after-a-quoted-newline"],
 )
 def test_monitor_unreadable_trace_is_one_runtime_error_line(tmp_path, capsys, data, message):
     table_path = tmp_path / "pos.rt"
@@ -287,6 +288,37 @@ def test_falsify_unusable_sample_count_is_usage_error(tmp_path, capsys, sizes, m
         f"usage error: --horizon/--dt: {message}"
     )
     assert not out.exists()  # rejected before any search or output file
+
+
+@pytest.mark.parametrize("k", [22, 10**20])
+def test_falsify_more_switches_than_samples_is_usage_error(tmp_path, capsys, monkeypatch, k):
+    from rtfalsify import search
+
+    def no_box(*args):
+        raise AssertionError("the parameter box was built")
+
+    # a K of 10**20 would build 2K+1 parameters; fail at the first one instead of hanging
+    monkeypatch.setattr(search, "Parameter", no_box)
+    out = tmp_path / "run"
+    code = run_cli(
+        "falsify", "--model", "omm-v1", "--table", "omm-rt0", "--budget", "5",
+        "--out", str(out), "--input", f"u1:-1:1:{k}",
+    )
+    assert code == 2
+    assert assert_one_usage_line(capsys.readouterr().err) == (
+        f"usage error: --input 'u1': K={k} exceeds the trace's 21 samples\n"
+    )
+    assert not out.exists()  # rejected before any search or output file
+
+
+def test_falsify_accepts_one_switch_per_sample(tmp_path):
+    code = run_cli(
+        "falsify", "--model", "omm-v1", "--table", "omm-rt0", "--budget", "5",
+        "--out", str(tmp_path), "--input", "u1:-1:1:21",
+    )
+    assert code in (0, 10)
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert "u1_switch21" in result["best_parameters"]
 
 
 def test_falsify_sample_count_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):

@@ -238,6 +238,9 @@ def test_trace_csv_rejects_a_repeated_column(tmp_path):
         pytest.param(
             "0.0,1.0\n1.0," + "1" * 200_000 + "\n", 3, "field larger", id="oversized-field"
         ),
+        # a quoted field spans lines 2-3, so the next record starts on line 4
+        pytest.param('0.0,"1.0\n"\n1.0,2.0,3.0\n', 4, "expected 2 columns", id="ragged-row"),
+        pytest.param('0.0,"1.0\n"\n1.0,oops\n', 4, "could not convert", id="bad-number"),
     ],
 )
 def test_trace_csv_names_the_bad_line(tmp_path, body, line, message):
