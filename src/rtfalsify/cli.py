@@ -28,7 +28,7 @@ from dataclasses import asdict, replace
 from importlib import import_module
 from typing import TYPE_CHECKING, Sequence
 
-from .expr import EvalError
+from .expr import RunError
 from .table import (
     RequirementsTable,
     TableSyntaxError,
@@ -72,22 +72,6 @@ write_degree_csv = _layer_function("monitor", "write_degree_csv")
 falsify = _layer_function("search", "falsify")
 read_trace_csv = _layer_function("sim", "read_trace_csv")
 write_trace_csv = _layer_function("sim", "write_trace_csv")
-
-# each layer's runtime error; a layer this process never imported raised none
-_LAYER_ERRORS = {
-    f"{__package__}.monitor": "MonitorError",
-    f"{__package__}.sim": "SimError",
-    f"{__package__}.search": "SearchError",
-}
-
-
-def _layer_errors() -> tuple[type[Exception], ...]:
-    return tuple(
-        getattr(sys.modules[module], error)
-        for module, error in _LAYER_ERRORS.items()
-        if module in sys.modules
-    )
-
 
 def _int_at_least(low: int):
     def parse(text: str) -> int:
@@ -407,7 +391,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (argparse.ArgumentTypeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
-    except (EvalError, OSError, *_layer_errors()) as exc:
+    except (OSError, RunError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -22,7 +22,11 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
 
 
-class EvalError(Exception):
+class RunError(Exception):
+    """Base class of every layer's runtime failure; the CLI exits 3 on one."""
+
+
+class EvalError(RunError):
     """Base class for expression evaluation failures."""
 
 

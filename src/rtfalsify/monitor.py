@@ -62,6 +62,7 @@ from .expr import (
     Or,
     PrevRef,
     Rel,
+    RunError,
     SignalRef,
     TimeVar,
     UnboundNameError,
@@ -82,7 +83,7 @@ INF = math.inf
 ET_TOLERANCE = 1e-9
 
 
-class MonitorError(Exception):
+class MonitorError(RunError):
     pass
 
 

@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .expr import RunError
 from .monitor import (
     MonitorAutomaton,
     MonitorBatch,
@@ -62,7 +63,7 @@ SIMULATED_ANNEALING = "simulated-annealing"
 _ALGORITHMS = (UNIFORM_RANDOM, SIMULATED_ANNEALING)
 
 
-class SearchError(Exception):
+class SearchError(RunError):
     pass
 
 

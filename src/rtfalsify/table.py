@@ -55,6 +55,7 @@ RESERVED_NAMES = frozenset({"t", "prev"})
 # bounds both the parser's and the evaluators' recursion, far below Python's limit
 MAX_NESTING = 100
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*\Z")
+_INDEX_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
 @dataclass(frozen=True)
@@ -352,11 +353,9 @@ def _parse_structure(text: str) -> RequirementsTable:
             initial_values[sig] = _parse_number(value, line_no, value_col)
         elif keyword == "req":
             section = 4
-            try:
-                index = int(rest)
-            except ValueError:
-                raise TableSyntaxError("'req' takes an integer index", line_no, rest_col) from None
-            requirements.append(Requirement(index))
+            if not _INDEX_RE.match(rest):  # int() would also take '1_0' and non-ASCII digits
+                raise TableSyntaxError("'req' takes an integer index", line_no, rest_col)
+            requirements.append(Requirement(int(rest)))
             stage = 0
         elif keyword in _STAGES:
             if not requirements:

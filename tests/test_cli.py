@@ -80,6 +80,14 @@ def test_check_missing_file_is_runtime_error(capsys):
     assert run_cli("check", "/definitely/not/there.rt") == 3
 
 
+def test_every_layer_error_is_a_run_error():
+    # the CLI maps RunError to exit 3 without knowing each layer's error class
+    from rtfalsify import expr, monitor, search, sim
+
+    for error in (expr.EvalError, sim.SimError, monitor.MonitorError, search.SearchError):
+        assert issubclass(error, expr.RunError)
+
+
 def test_check_invalid_utf8_is_syntax_error(tmp_path):
     path = tmp_path / "binary.rt"
     path.write_bytes(b"table T\xff\xfe\x00 garbage")

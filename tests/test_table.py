@@ -196,6 +196,8 @@ def test_comments_and_blank_lines_ignored():
         ("  dur 2\nreq 1\n  post x > 0\n", "'dur' outside of a req block", 5),
         ("req one\n  post x > 0\n", "'req' takes an integer index", 5),
         ("req 1.5\n  post x > 0\n", "'req' takes an integer index", 5),
+        ("req 1_0\n  post x > 0\n", "'req' takes an integer index", 5),
+        ("req \u0661\n  post x > 0\n", "'req' takes an integer index", 5),
         ("init y = 1\nreq 1\n  post x > 0\n", "duplicate init for 'y'", 5),
         ("req 1\n  post x > 1e400\n", "number must be finite", 6),
         ("req 1\n  post x < 1e400 - 1e400 + 5\n", "number must be finite", 6),
@@ -209,7 +211,8 @@ def test_comments_and_blank_lines_ignored():
     ],
     ids=[
         "post-then-pre", "repeated-pre", "dur-after-post", "post-after-action",
-        "dur-outside-req", "word-index", "fractional-index", "duplicate-init",
+        "dur-outside-req", "word-index", "fractional-index", "underscore-index",
+        "non-ascii-index", "duplicate-init",
         "infinite-literal", "nan-by-arithmetic", "infinite-action-literal",
         "init-underscore", "dur-underscore", "dur-inf-word", "init-nan-word", "bare-exponent",
         "double-sign",
