@@ -17,7 +17,8 @@ rewritten after every run, so an interrupted run keeps the pairs it
 finished.
 
 Per gated metric the file holds every run, each side's median and quartiles
-(``statistics.quantiles(method="inclusive")``), the pairs the change won,
+(``statistics.quantiles(method="inclusive")``), the median and quartiles of
+change/parent over the pairs (``pair_ratio``), the pairs the change won,
 and two verdicts: ``within_bound`` (the change's median is no worse than the
 parent's by more than the metric's bound) and ``gain_shown`` (at least ten
 pairs, the change won at least nine tenths of them, and the medians differ by
@@ -81,6 +82,7 @@ def metric_summary(spec: dict, parent: list[float], change: list[float]) -> dict
         "parent": p,
         "change": c,
         "median_ratio_change_over_parent": round(c["median"] / p["median"], 3),
+        "pair_ratio": quartiles([b / a for a, b in zip(parent, change)]),
         "parent_iqr": round(parent_iqr, 4),
         "change_wins_pairs": wins,
         "worse_by_share": round(worse_by, 3),
@@ -121,7 +123,9 @@ def main(argv=None) -> int:
             f"--trace 0, run by scripts/bench_pairs.py from a clean export of the parent commit "
             f"and of the change; {args.pairs} pairs per workload, run one after another, the side "
             f"that runs first alternating from pair to pair; workloads in the order "
-            f"{', '.join(workloads)}. Quartiles are statistics.quantiles(method='inclusive')."
+            f"{', '.join(workloads)}. Quartiles are statistics.quantiles(method='inclusive'). "
+            "pair_ratio holds the median and quartiles of change/parent taken pair by pair, so "
+            "a host that changes speed between pairs changes both runs of a ratio alike."
         ),
         "workloads": {},
     }

@@ -204,9 +204,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_monitor(args: argparse.Namespace) -> int:
     table = _load_table_arg(args.table)
-    automaton = compile_table(table)
     trace = read_trace_csv(args.trace)
-    run = run_monitor(automaton, trace)
+    run = run_monitor(compile_table(table), trace)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "degrees.csv")
     write_degree_csv(run, out_path)
@@ -316,7 +315,6 @@ def cmd_falsify(args: argparse.Namespace) -> int:
 
     table = _load_table_arg(args.table)
     pi, base_cfg, echo = _build_run_setup(args)
-    automaton = compile_table(table)
     model = make_model(args.model)
     os.makedirs(args.out, exist_ok=True)
 
@@ -324,7 +322,7 @@ def cmd_falsify(args: argparse.Namespace) -> int:
     any_tc = False
     for i in range(args.runs):
         seed = args.seed + i
-        result = falsify(model, automaton, pi, replace(base_cfg, seed=seed))
+        result = falsify(model, table, pi, replace(base_cfg, seed=seed))
         any_tc = any_tc or result.failure_found
 
         suffix = f"_{i + 1}" if args.runs > 1 else ""

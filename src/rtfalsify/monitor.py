@@ -1,6 +1,8 @@
-"""Compile requirements tables into three-phase monitor machines and run them.
+"""Run requirements tables as three-phase monitor machines.
 
-Each requirement becomes one parallel machine with phases PRC (checking the
+``compile_table`` checks a table's static rules and returns the table
+itself, which ``run_monitor`` and ``monitor_batch`` then run. Each
+requirement is one parallel machine with phases PRC (checking the
 precondition), WT (precondition held, waiting out the duration) and POA
 (postcondition active). Machines take at most one transition per time step:
 
@@ -44,7 +46,6 @@ import csv
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -65,17 +66,9 @@ from .expr import (
     RunError,
     SignalRef,
     TimeVar,
-    UnboundNameError,
-    prev_names,
 )
 from .sim import SignalMismatchError, Trace, write_csv_columns
-from .table import (
-    Requirement,
-    RequirementsTable,
-    TableValidationError,
-    prev_signals,
-    validate,
-)
+from .table import Requirement, RequirementsTable, TableValidationError
 
 INF = math.inf
 
@@ -112,47 +105,16 @@ class UndefinedDegreeError(MonitorError):
         self.t = t
 
 
-@dataclass(frozen=True)
-class MonitorAutomaton:
-    """Immutable compiled table: one parallel machine per requirement."""
-
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    requirements: tuple[Requirement, ...]
-    prev_signals: tuple[str, ...]
-    initial_values: dict[str, float]
-
-    @cached_property
-    def requirement_indexes(self) -> tuple[int, ...]:
-        return tuple(r.index for r in self.requirements)
-
-    @cached_property
-    def recurrent(self) -> bool:
-        """True when an action reads prev() of a table output, so step k needs step k-1."""
-        outputs = set(self.outputs)
-        return any(
-            prev_names(action.value) & outputs
-            for req in self.requirements
-            for action in req.actions
-        )
-
-
-def compile_table(table: RequirementsTable) -> MonitorAutomaton:
-    """Build the monitor automaton for a validated table.
+def compile_table(table: RequirementsTable) -> RequirementsTable:
+    """Check ``table`` for running as a monitor and return it.
 
     Raises TableValidationError when the table breaks a static rule, so a
-    compiled automaton can always be executed without name errors.
+    compiled table runs without name errors. The rules are checked once per
+    table, however often it is parsed, compiled or searched.
     """
-    diagnostics = validate(table)
-    if diagnostics:
-        raise TableValidationError(diagnostics)
-    return MonitorAutomaton(
-        inputs=table.inputs,
-        outputs=table.outputs,
-        requirements=table.requirements,
-        prev_signals=prev_signals(table),
-        initial_values=dict(table.initial_values),
-    )
+    if table.diagnostics:
+        raise TableValidationError(table.diagnostics)
+    return table
 
 
 @dataclass
@@ -204,8 +166,8 @@ def _first_zero_sign(minima: np.ndarray, values: np.ndarray) -> np.ndarray:
     return minima
 
 
-def run_monitor(automaton: MonitorAutomaton, trace) -> MonitorRun:
-    """Execute the automaton over a whole trace and aggregate the fitness.
+def run_monitor(table: RequirementsTable, trace) -> MonitorRun:
+    """Run a compiled table's machines over a whole trace and aggregate the fitness.
 
     The trace must contain every table input at a uniform step; errors from
     individual steps (missing or conflicting actions, division by zero, a
@@ -214,22 +176,22 @@ def run_monitor(automaton: MonitorAutomaton, trace) -> MonitorRun:
     if not isinstance(trace, Trace):
         raise TypeError("run_monitor expects a Trace")
     signals = {name: values[None] for name, values in trace.samples.items()}
-    return monitor_batch(automaton, signals, trace.times).run(0)
+    return monitor_batch(table, signals, trace.times).run(0)
 
 
 def monitor_batch(
-    automaton: MonitorAutomaton, signals: Mapping[str, np.ndarray], times: np.ndarray
+    table: RequirementsTable, signals: Mapping[str, np.ndarray], times: np.ndarray
 ) -> MonitorBatch:
-    """Run every machine over a batch of traces at once.
+    """Run every machine of a compiled table over a batch of traces at once.
 
     ``signals`` maps names to arrays of shape (candidates, samples), all
     sampled at ``times``. Raises the error a step-by-step run meets first.
     """
-    missing = [s for s in automaton.inputs if s not in signals]
+    missing = [s for s in table.inputs if s not in signals]
     if missing:
         raise SignalMismatchError(f"trace is missing table inputs: {', '.join(missing)}")
     with np.errstate(all="ignore"):
-        return _Engine(automaton, signals, times).run()
+        return _Engine(table, signals, times).run()
 
 
 # --- whole-array evaluation ---------------------------------------------
@@ -263,22 +225,19 @@ class ArrayEnv:
 
 
 def arith_array(e: ArithExpr, env: ArrayEnv, live=True):
-    """``eval_arith`` elementwise; ``live`` marks the samples the scalar evaluator reaches."""
+    """``eval_arith`` elementwise; ``live`` marks the samples the scalar evaluator reaches.
+
+    ``env`` binds every name ``e`` reads, as it does for a compiled table's rows.
+    """
     match e:
         case Const(value):
             return value
         case SignalRef(name):
-            try:
-                return env.signals[name]
-            except KeyError:
-                raise UnboundNameError(name) from None
+            return env.signals[name]
         case TimeVar():
             return env.t
         case PrevRef(name):
-            try:
-                return env.prev[name]
-            except KeyError:
-                raise UnboundNameError(name, "previous-step signal") from None
+            return env.prev[name]
         case BinaryArith(op, lhs, rhs):
             a = arith_array(lhs, env, live)
             b = arith_array(rhs, env, live)
@@ -348,47 +307,47 @@ class _Engine:
     ``ndarray.any()`` on the small arrays of a search.
     """
 
-    def __init__(self, automaton: MonitorAutomaton, signals, times: np.ndarray):
-        self.automaton = automaton
+    def __init__(self, table: RequirementsTable, signals, times: np.ndarray):
+        self.table = table
         self.signals = signals
         self.times = times
         self.shape = next(iter(signals.values())).shape
-        init = automaton.initial_values
-        outputs = set(automaton.outputs)
+        init = table.initial_values
+        outputs = set(table.outputs)
         # prev() of a trace signal is the trace delayed by one step
         self.prev = {
-            s: _delayed(signals[s], init[s]) for s in automaton.prev_signals if s not in outputs
+            s: _delayed(signals[s], init[s]) for s in table.prev_signals if s not in outputs
         }
-        self.prev_outputs = [s for s in automaton.prev_signals if s in outputs]
+        self.prev_outputs = [s for s in table.prev_signals if s in outputs]
         # (step mask, order within a step, exception factory) of every error source
         self.errors: list[tuple[np.ndarray, tuple, object]] = []
 
     def run(self) -> MonitorBatch:
-        automaton, times = self.automaton, self.times
+        table, times = self.table, self.times
         n_candidates, n = self.shape
         t = times[None, :]
         env = ArrayEnv(self.signals, self.prev, t)
         active = [
             _postcondition_active(self._guard(i, req, env), req, times)
-            for i, req in enumerate(automaton.requirements)
+            for i, req in enumerate(table.requirements)
         ]
-        prev = {**self.prev, **self._recurrence(active)} if automaton.recurrent else self.prev
-        values = self._actions(ArrayEnv(self.signals, prev, t), active) if automaton.outputs else {}
-        init = automaton.initial_values
+        prev = {**self.prev, **self._recurrence(active)} if table.recurrent else self.prev
+        values = self._actions(ArrayEnv(self.signals, prev, t), active) if table.outputs else {}
+        init = table.initial_values
         prev = {**prev, **{s: _delayed(values[s], init[s]) for s in self.prev_outputs}}
         post_env = ArrayEnv({**self.signals, **values}, prev, t)
         degrees = np.empty((n_candidates, n, len(active)))
-        for i, req in enumerate(automaton.requirements):
+        for i, req in enumerate(table.requirements):
             degrees[:, :, i] = self._postcondition(i, req, post_env, active[i])
         fitness = np.minimum.reduce(degrees.reshape(n_candidates, -1), axis=1, initial=INF)
         if np.count_nonzero(np.isnan(fitness)):  # the minimum carries any NaN degree
-            for i, req in enumerate(automaton.requirements):
+            for i, req in enumerate(table.requirements):
                 self._note_undefined(i, req, degrees[:, :, i])
         self._raise_first()  # once, now that every stage has recorded where it fails
 
         return MonitorBatch(
             times=times,
-            requirement_indexes=automaton.requirement_indexes,
+            requirement_indexes=table.requirement_indexes,
             degrees=degrees,
             outputs=values,
             fitness=_first_zero_sign(fitness, degrees.reshape(n_candidates, -1)),
@@ -397,7 +356,7 @@ class _Engine:
     def _recurrence(self, active: list[np.ndarray]) -> dict[str, np.ndarray]:
         """prev() of each prev()-read output, from the actions run one step at a time."""
         errors, self.errors = self.errors, []  # dropped: the whole-array pass meets each again
-        init = self.automaton.initial_values
+        init = self.table.initial_values
         delayed = {s: np.full(self.shape, init[s]) for s in self.prev_outputs}
         prev = {**self.prev, **delayed}
         for k in range(self.shape[1] - 1):  # no step reads the last step's outputs
@@ -424,9 +383,9 @@ class _Engine:
     def _actions(self, env: ArrayEnv, live: list[np.ndarray]) -> dict[str, np.ndarray]:
         """Every output's value: the last active action's, checked for conflicts and gaps."""
         shape = (self.shape[0], env.t.shape[1])
-        values = {name: np.full(shape, np.nan) for name in self.automaton.outputs}
-        assigned = {name: np.zeros(shape, dtype=bool) for name in self.automaton.outputs}
-        for i, req in enumerate(self.automaton.requirements):
+        values = {name: np.full(shape, np.nan) for name in self.table.outputs}
+        assigned = {name: np.zeros(shape, dtype=bool) for name in self.table.outputs}
+        for i, req in enumerate(self.table.requirements):
             for a, action in enumerate(req.actions):
                 env.zero_division = False
                 value = _broadcast(arith_array(action.value, env, live[i]), shape)
@@ -437,7 +396,7 @@ class _Engine:
                     self.errors.append((conflict, (1, i, a, 1), _conflict(target, current, value)))
                 values[target] = np.where(live[i], value, current)
                 assigned[target] = assigned[target] | live[i]
-        for j, name in enumerate(self.automaton.outputs):
+        for j, name in enumerate(self.table.outputs):
             unset = ~assigned[name]
             if np.count_nonzero(unset):
                 self.errors.append(

@@ -28,14 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import RunError
-from .monitor import (
-    MonitorAutomaton,
-    MonitorBatch,
-    MonitorRun,
-    compile_table,
-    monitor_batch,
-    run_monitor,
-)
+from .monitor import MonitorBatch, MonitorRun, compile_table, monitor_batch, run_monitor
 from .sim import SystemModel, Trace, n_samples_for, simulate, simulate_batch
 from .table import RequirementsTable
 
@@ -113,6 +106,7 @@ class ParameterizedInput:
     many switches as lie at or before it, so the order of the switch times
     in the vector does not matter.
 
+    An input family is an immutable value whose derived facts are cached:
     ``times`` is computed at construction, so a sample count that is not
     finite or too large for an array raises ValueError there; ``parameters``
     and ``bounds`` are computed on first use. ``bounds`` and ``times`` are
@@ -126,6 +120,10 @@ class ParameterizedInput:
     def __post_init__(self) -> None:
         if not self.shapes:
             raise ValueError("need at least one input signal")
+        names = [shape.name for shape in self.shapes]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"duplicate signal '{name}'")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
         if not (self.dt > 0):
@@ -266,15 +264,15 @@ class FalsificationResult:
 
 def evaluate(
     model: SystemModel,
-    table: RequirementsTable | MonitorAutomaton,
+    table: RequirementsTable,
     pi: ParameterizedInput,
     params: Sequence[float],
 ) -> Evaluation:
     """One falsification iteration: instantiate, simulate, monitor, aggregate."""
-    automaton = table if isinstance(table, MonitorAutomaton) else compile_table(table)
+    table = compile_table(table)
     inputs = pi.instantiate(params)
     merged = simulate(model, inputs)
-    run = run_monitor(automaton, merged)
+    run = run_monitor(table, merged)
     return Evaluation(fitness=run.fitness, trace=merged, run=run)
 
 
@@ -293,9 +291,9 @@ class _Batch:
         return Evaluation(fitness=run.fitness, trace=trace, run=run)
 
 
-def _evaluate_batch(model, automaton: MonitorAutomaton, pi: ParameterizedInput, params) -> _Batch:
+def _evaluate_batch(model, table: RequirementsTable, pi: ParameterizedInput, params) -> _Batch:
     signals = simulate_batch(model, pi.instantiate_batch(params), pi.dt)
-    return _Batch(params, signals, monitor_batch(automaton, signals, pi.times), pi.dt)
+    return _Batch(params, signals, monitor_batch(table, signals, pi.times), pi.dt)
 
 
 def violated_requirements(run: MonitorRun) -> tuple[int, ...]:
@@ -323,7 +321,7 @@ def acceptance_probability(delta: float, temperature: float) -> float:
 
 def falsify(
     model: SystemModel,
-    table: RequirementsTable | MonitorAutomaton,
+    table: RequirementsTable,
     pi: ParameterizedInput,
     cfg: SearchConfig,
 ) -> FalsificationResult:
@@ -333,7 +331,7 @@ def falsify(
     when the budget is exhausted (verdict NFF). Identical configuration and
     seed give identical results, including the fitness history.
     """
-    automaton = table if isinstance(table, MonitorAutomaton) else compile_table(table)
+    table = compile_table(table)
     lows, highs = pi.bounds
     spans = highs - lows
     rng = np.random.default_rng(cfg.seed)
@@ -357,11 +355,11 @@ def falsify(
             # the floats of rng.uniform(lows, highs, size=(m, d)), without its argument checks
             params = lows + spans * rng.random((m, lows.size))
             try:
-                batches = [_evaluate_batch(model, automaton, pi, params)]
+                batches = [_evaluate_batch(model, table, pi, params)]
             except Exception:
                 # one candidate at a time, so that the error, or a test case
                 # before it, surfaces where a sequential search meets it
-                batches = (_evaluate_batch(model, automaton, pi, p[None]) for p in params)
+                batches = (_evaluate_batch(model, table, pi, p[None]) for p in params)
             for batch in batches:
                 fitnesses = batch.monitored.fitness.tolist()
                 if min(fitnesses) < 0:  # keep the history up to the first test case
@@ -371,7 +369,7 @@ def falsify(
                     break
     else:
         current = rng.uniform(lows, highs)
-        batch = _evaluate_batch(model, automaton, pi, current[None])
+        batch = _evaluate_batch(model, table, pi, current[None])
         current_fitness = float(batch.monitored.fitness[0])
         record(batch, [current_fitness])
         temperature = cfg.sa.initial_temperature
@@ -380,7 +378,7 @@ def falsify(
             # parameter's range, clamped back into the box
             noise = rng.normal(0.0, 1.0, size=current.shape) * cfg.sa.proposal_scale * spans
             proposal = np.clip(current + noise, lows, highs)
-            batch = _evaluate_batch(model, automaton, pi, proposal[None])
+            batch = _evaluate_batch(model, table, pi, proposal[None])
             fitness = float(batch.monitored.fitness[0])
             record(batch, [fitness])
             delta = _metropolis_delta(fitness, current_fitness)

@@ -75,10 +75,6 @@ class Trace:
         return next(iter(self.samples.values())).size
 
     @property
-    def horizon(self) -> float:
-        return (self.n_samples - 1) * self.dt
-
-    @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_samples) * self.dt
 

@@ -31,6 +31,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 from .expr import (
@@ -77,11 +78,48 @@ class Requirement:
 
 @dataclass(frozen=True)
 class RequirementsTable:
+    """A requirements table; ``compile_table`` checks it and returns it to run as a monitor.
+
+    A table is an immutable value whose derived facts are cached: its
+    validation findings, requirement indexes, prev() signals and whether its
+    actions recur are computed on first use, so do not change
+    ``initial_values`` after building the table.
+    """
+
     name: str
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
     initial_values: dict[str, float] = field(default_factory=dict)
     requirements: tuple[Requirement, ...] = ()
+
+    @cached_property
+    def diagnostics(self) -> tuple[Diagnostic, ...]:
+        """Every static rule the table breaks, as ``validate`` finds them."""
+        return tuple(validate(self))
+
+    @cached_property
+    def requirement_indexes(self) -> tuple[int, ...]:
+        return tuple(r.index for r in self.requirements)
+
+    @cached_property
+    def prev_signals(self) -> tuple[str, ...]:
+        """Signals read through prev(...) anywhere in the table, sorted."""
+        found: set[str] = set()
+        for req in self.requirements:
+            for expr in (req.precondition, req.postcondition, *(a.value for a in req.actions)):
+                if expr is not None:
+                    found |= prev_names(expr)
+        return tuple(sorted(found))
+
+    @cached_property
+    def recurrent(self) -> bool:
+        """True when an action reads prev() of a table output, so step k needs step k-1."""
+        outputs = set(self.outputs)
+        return any(
+            prev_names(action.value) & outputs
+            for req in self.requirements
+            for action in req.actions
+        )
 
 
 @dataclass(frozen=True)
@@ -116,7 +154,7 @@ class TableValidationError(TableError):
 
 # --- expression parsing ---------------------------------------------------
 
-_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # a number cell (dur, init) is a number literal with an optional sign
 _NUMBER_CELL_RE = re.compile(rf"[+-]?{_NUMBER}\Z")
 _TOKEN_RE = re.compile(
@@ -290,9 +328,8 @@ def parse_table(text: str) -> RequirementsTable:
     TableValidationError when the parsed table breaks a static rule.
     """
     table = _parse_structure(text)
-    diagnostics = validate(table)
-    if diagnostics:
-        raise TableValidationError(diagnostics)
+    if table.diagnostics:
+        raise TableValidationError(table.diagnostics)
     return table
 
 
@@ -611,16 +648,6 @@ def _fmt_arith(e: ArithExpr, required: int) -> str:
         text = f"{_fmt_arith(e.lhs, prec)} {e.op} {_fmt_arith(e.rhs, prec + 1)}"
         return text if required <= prec else f"({text})"
     raise TypeError(f"not an arithmetic expression: {e!r}")
-
-
-def prev_signals(table: RequirementsTable) -> tuple[str, ...]:
-    """Signals read through prev(...) anywhere in the table, sorted."""
-    found: set[str] = set()
-    for req in table.requirements:
-        for expr in (req.precondition, req.postcondition, *(a.value for a in req.actions)):
-            if expr is not None:
-                found |= prev_names(expr)
-    return tuple(sorted(found))
 
 
 def load_bundled_table(name: str) -> RequirementsTable:

@@ -358,6 +358,11 @@ def test_falsify_sample_count_out_of_memory_is_usage_error(tmp_path, capsys, mon
         ("--budget", "1e3", "argument --budget: expected a whole number, got '1e3'"),
         ("--runs", "two", "argument --runs: expected a whole number, got 'two'"),
         ("--dt", "abc", "argument --dt: expected a number, got 'abc'"),
+        ("--input", "u1:0", "--input expects NAME:LO:HI[:K], got 'u1:0'"),
+        ("--input", "u1:a:b", "--input expects NAME:LO:HI[:K], got 'u1:a:b'"),
+        ("--input", "z:0:1", "--input names unknown signal 'z' (model has u1, u2)"),
+        ("--input", "u1:5:1", "'u1': lower bound exceeds upper bound"),
+        ("--input", "u1:0:1:-1", "'u1': discontinuity count must be >= 0"),
     ],
 )
 def test_falsify_malformed_number_is_usage_error(capsys, option, value, message):

@@ -95,6 +95,26 @@ def test_signal_shape_needs_a_finite_range(lower, upper):
         SignalShape("u", lower, upper)
 
 
+@pytest.mark.parametrize(
+    "shapes, horizon, dt, message",
+    [
+        (
+            (SignalShape("u", 0.0, 1.0), SignalShape("u", 5.0, 6.0)),
+            10.0,
+            1.0,
+            "duplicate signal 'u'",
+        ),
+        ((), 10.0, 1.0, "need at least one input signal"),
+        ((SignalShape("u", 0.0, 1.0),), -1.0, 1.0, "horizon must be >= 0"),
+        ((SignalShape("u", 0.0, 1.0),), 10.0, 0.0, "dt must be > 0"),
+    ],
+    ids=["duplicate-name", "no-shapes", "negative-horizon", "zero-dt"],
+)
+def test_parameterized_input_construction_errors(shapes, horizon, dt, message):
+    with pytest.raises(ValueError, match=message):
+        ParameterizedInput(shapes=shapes, horizon=horizon, dt=dt)
+
+
 def test_arity_and_bounds_errors():
     pi = single_signal_pi()
     with pytest.raises(ArityMismatchError):
@@ -121,7 +141,7 @@ def test_unusable_sample_count_fails_at_construction(horizon, dt, message):
 def test_full_horizon_is_covered():
     trace = single_signal_pi(horizon=30.0, dt=1.0).instantiate([1.0, 2.0, 29.5])
     assert trace.n_samples == 31
-    assert trace.horizon == 30.0
+    assert trace.times[-1] == 30.0
 
 
 def per_signal_instantiate(pi, values):
@@ -210,6 +230,27 @@ def test_evaluate_empty_table_is_vacuous(omm_pi):
     empty = RequirementsTable(name="Empty", inputs=("u1", "u2"))
     ev = evaluate(make_model("omm-v0"), empty, omm_pi, forced_params(1.0, 1.0))
     assert ev.fitness == INF
+
+
+def test_a_table_is_validated_once(monkeypatch, omm_pi):
+    import rtfalsify.monitor as monitor
+    import rtfalsify.table as table_module
+
+    validate, calls = table_module.validate, []
+
+    def counting(table):
+        calls.append(table)
+        return validate(table)
+
+    # each module-level name through which a layer could check a table
+    for module in (table_module, monitor):
+        monkeypatch.setattr(module, "validate", counting, raising=False)
+    table = parse_table("table T\ninputs u1, u2\nreq 1\n  post u1 < 200\n")
+    compiled = compile_table(table)
+    falsify(make_model("omm-v0"), table, omm_pi, SearchConfig(budget=3))
+    evaluate(make_model("omm-v0"), table, omm_pi, forced_params(1.0, 1.0))
+    assert calls == [table]
+    assert compiled is table
 
 
 # --- annealing mechanics --------------------------------------------------------

@@ -33,7 +33,6 @@ def test_trace_shape_checks():
         Trace(dt=1.0, samples={"x": np.zeros(3), "y": np.zeros(4)})
     trace = Trace(dt=0.5, samples={"x": [0.0, 1.0, 2.0]})
     assert trace.n_samples == 3
-    assert trace.horizon == 1.0
     assert trace.times.tolist() == [0.0, 0.5, 1.0]
 
 

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtfalsify.expr import And, BinaryArith, Const, Not, Or, PrevRef, Rel, SignalRef, TimeVar
+from rtfalsify.monitor import compile_table
 from rtfalsify.table import (
     Assignment,
     Requirement,
@@ -144,6 +147,54 @@ def test_precondition_may_not_read_outputs():
     assert any(d.kind == "UnknownSignal" for d in err.value.diagnostics)
 
 
+X_POSITIVE = Rel(">", SignalRef("x"), Const(0.0))
+
+
+@pytest.mark.parametrize(
+    "table, diagnostic",
+    [
+        ("inputs t\n", "ReservedName: 't' is reserved and cannot be declared"),
+        ("inputs x, x\n", "DuplicateSignal: 'x' declared more than once"),
+        ("inputs x\noutputs x\n", "DuplicateSignal: 'x' declared more than once"),
+        ("inputs x\ninit z = 1\n", "UnknownSignal: init for undeclared signal 'z'"),
+        (
+            "inputs x\nreq 1\n  post prev(z) > 0\n",
+            "req 1: UnknownSignal: postcondition: prev('z') is not declared",
+        ),
+        (
+            "inputs x\noutputs y\ninit y = 0\nreq 1\n  action y = x\n  action y = 1\n",
+            "req 1: DuplicateActionTarget: 'y' assigned twice",
+        ),
+        (RequirementsTable(name="1T"), "BadName: invalid table name '1T'"),
+        (RequirementsTable(name="T", outputs=("y z",)), "BadName: invalid output name 'y z'"),
+        (
+            RequirementsTable(name="T", inputs=("x",), initial_values={"x": math.inf}),
+            "BadInitialValue: init x = inf is not finite",
+        ),
+        (
+            RequirementsTable(
+                name="T",
+                inputs=("x",),
+                requirements=(
+                    Requirement(1, X_POSITIVE, duration=math.nan, postcondition=X_POSITIVE),
+                ),
+            ),
+            "req 1: InvalidDuration: duration must be finite",
+        ),
+    ],
+    ids=[
+        "reserved-input", "duplicate-input", "input-and-output", "init-undeclared",
+        "prev-undeclared", "action-target-twice", "bad-table-name", "bad-output-name",
+        "infinite-init", "nan-duration",
+    ],
+)
+def test_validation_diagnostics(table, diagnostic):
+    """Text cases fail in ``parse_table``, hand-built tables in ``compile_table``."""
+    with pytest.raises(TableValidationError) as err:
+        compile_table(parse_table("table T\n" + table) if isinstance(table, str) else table)
+    assert [str(d) for d in err.value.diagnostics] == [diagnostic]
+
+
 def test_syntax_error_carries_location():
     with pytest.raises(TableSyntaxError) as err:
         parse_table("table T\ninputs x\nreq 1\n  post x >\n")
@@ -208,6 +259,15 @@ def test_comments_and_blank_lines_ignored():
         ("init z = nan\nreq 1\n  post x > 0\n", "invalid number 'nan'", 5),
         ("req 1\n  pre x > 0\n  dur 1e\n  post x > 0\n", "invalid number '1e'", 7),
         ("req 1\n  pre x > 0\n  dur --1\n  post x > 0\n", "invalid number '--1'", 7),
+        ("init z = \u0661\nreq 1\n  post x > 0\n", "invalid number", 5),
+        ("req 1\n  post x > \u0662\n", "unexpected character", 6),
+        ("req 1\n  post x > 1e\u0662\n", "unexpected 'e\u0662'", 6),
+        ("req 1\n  pre x > 0\n  dur \u0663\n  post x > 0\n", "invalid number", 7),
+        ("req 1\n  post prev(1) > 0\n", "prev\\(\\) takes a signal name", 6),
+        ("req 1\n  post prev(t) > 0\n", "prev\\(\\) takes a signal name", 6),
+        ("req 1\n  post x > 0\ninit z = 1\n", "'init' lines must come before 'req'", 7),
+        ("outputs z\nreq 1\n  post x > 0\n", "'outputs' must come before 'init'", 5),
+        ("init z 0\nreq 1\n  post x > 0\n", "expected '<name> = <expression>'", 5),
     ],
     ids=[
         "post-then-pre", "repeated-pre", "dur-after-post", "post-after-action",
@@ -215,13 +275,31 @@ def test_comments_and_blank_lines_ignored():
         "non-ascii-index", "duplicate-init",
         "infinite-literal", "nan-by-arithmetic", "infinite-action-literal",
         "init-underscore", "dur-underscore", "dur-inf-word", "init-nan-word", "bare-exponent",
-        "double-sign",
+        "double-sign", "non-ascii-init", "non-ascii-literal", "non-ascii-exponent",
+        "non-ascii-dur", "prev-of-number", "prev-of-time", "init-after-req",
+        "outputs-after-init", "init-without-equals",
     ],
 )
 def test_requirement_row_syntax_errors(body, message, line):
     with pytest.raises(TableSyntaxError, match=message) as err:
         parse_table("table T\ninputs x\noutputs y\ninit y = 0\n" + body)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("table 1T\n", "invalid table name", 1, 7),
+        ("table T\noutputs y\ninputs x\n", "'inputs' must directly follow 'table'", 3, 1),
+        ("table T\ninputs\n", "expected a signal list or '-'", 2, 7),
+        ("table T\ninputs x, 1y\n", "invalid signal name '1y'", 2, 8),
+    ],
+    ids=["bad-table-name", "inputs-after-outputs", "empty-inputs", "bad-input-name"],
+)
+def test_header_syntax_errors(text, message, line, column):
+    with pytest.raises(TableSyntaxError, match=message) as err:
+        parse_table(text)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_number_cells_take_a_sign_and_an_exponent():
