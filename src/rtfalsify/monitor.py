@@ -185,8 +185,11 @@ def monitor_batch(
     """Run every machine of a compiled table over a batch of traces at once.
 
     ``signals`` maps names to arrays of shape (candidates, samples), all
-    sampled at ``times``. Raises the error a step-by-step run meets first.
+    sampled at ``times``. Raises TableValidationError for a table that
+    breaks a static rule, else the error a step-by-step run meets first.
     """
+    if table.diagnostics:  # cached on the table, so checked once however often it runs
+        raise TableValidationError(table.diagnostics)
     missing = [s for s in table.inputs if s not in signals]
     if missing:
         raise SignalMismatchError(f"trace is missing table inputs: {', '.join(missing)}")

@@ -14,8 +14,8 @@ trace longer than 2^12 samples. It records the same history as drawing and
 evaluating them one at a time, because one draw of n rows yields the same
 numbers as n draws of one row, and the history stops at the first test case.
 The candidates after it in the same batch were still simulated and
-monitored; they never enter the history. Simulated annealing is sequential
-and evaluates one candidate per batch.
+monitored; they never enter the history. Simulated annealing runs the same
+loop on batches of one candidate, since each proposal depends on the last.
 """
 
 from __future__ import annotations
@@ -304,12 +304,9 @@ def violated_requirements(run: MonitorRun) -> tuple[int, ...]:
     return tuple(idx for idx, h in zip(run.requirement_indexes, hit) if h)
 
 
-def _finite_fitness(x: float) -> float:
-    return min(max(x, -VACUOUS_PENALTY), VACUOUS_PENALTY)
-
-
 def _metropolis_delta(proposal_fitness: float, current_fitness: float) -> float:
-    return _finite_fitness(proposal_fitness) - _finite_fitness(current_fitness)
+    low, high = -VACUOUS_PENALTY, VACUOUS_PENALTY
+    return min(max(proposal_fitness, low), high) - min(max(current_fitness, low), high)
 
 
 def acceptance_probability(delta: float, temperature: float) -> float:
@@ -335,55 +332,47 @@ def falsify(
     lows, highs = pi.bounds
     spans = highs - lows
     rng = np.random.default_rng(cfg.seed)
+    annealing = cfg.algorithm == SIMULATED_ANNEALING
+    max_rows = max(1, BATCH_SAMPLES // pi.times.size)
+    current, temperature = None, cfg.sa.initial_temperature
 
     history: list[float] = []
     best_fitness = INF
     best: tuple[_Batch, int] | None = None
-
-    def record(batch: _Batch, fitnesses: list[float]) -> None:
-        """Append the batch's first ``len(fitnesses)`` candidates; keep the first best."""
-        nonlocal best_fitness, best
-        history.extend(fitnesses)
-        j = fitnesses.index(min(fitnesses))  # min keeps the first of equal values
-        if best is None or fitnesses[j] < best_fitness:
-            best_fitness, best = fitnesses[j], (batch, j)
-
-    if cfg.algorithm == UNIFORM_RANDOM:
-        max_rows = max(1, BATCH_SAMPLES // pi.times.size)
-        while best_fitness >= 0 and len(history) < cfg.budget:
+    while best_fitness >= 0 and len(history) < cfg.budget:
+        if not annealing:
             m = min(max_rows, cfg.budget - len(history))
             # the floats of rng.uniform(lows, highs, size=(m, d)), without its argument checks
             params = lows + spans * rng.random((m, lows.size))
-            try:
-                batches = [_evaluate_batch(model, table, pi, params)]
-            except Exception:
-                # one candidate at a time, so that the error, or a test case
-                # before it, surfaces where a sequential search meets it
-                batches = (_evaluate_batch(model, table, pi, p[None]) for p in params)
-            for batch in batches:
-                fitnesses = batch.monitored.fitness.tolist()
-                if min(fitnesses) < 0:  # keep the history up to the first test case
-                    fitnesses = fitnesses[: next(j for j, f in enumerate(fitnesses) if f < 0) + 1]
-                record(batch, fitnesses)
-                if best_fitness < 0:
-                    break
-    else:
-        current = rng.uniform(lows, highs)
-        batch = _evaluate_batch(model, table, pi, current[None])
-        current_fitness = float(batch.monitored.fitness[0])
-        record(batch, [current_fitness])
-        temperature = cfg.sa.initial_temperature
-        while best_fitness >= 0 and len(history) < cfg.budget:
+        elif current is None:
+            params = rng.uniform(lows, highs)[None]
+        else:
             # Gaussian noise with standard deviation proposal_scale times each
             # parameter's range, clamped back into the box
-            noise = rng.normal(0.0, 1.0, size=current.shape) * cfg.sa.proposal_scale * spans
-            proposal = np.clip(current + noise, lows, highs)
-            batch = _evaluate_batch(model, table, pi, proposal[None])
-            fitness = float(batch.monitored.fitness[0])
-            record(batch, [fitness])
-            delta = _metropolis_delta(fitness, current_fitness)
+            noise = rng.normal(0.0, 1.0, size=lows.size) * cfg.sa.proposal_scale * spans
+            params = np.clip(current + noise, lows, highs)[None]
+        try:
+            batches = [_evaluate_batch(model, table, pi, params)]
+        except Exception:
+            # one candidate at a time, so that the error, or a test case
+            # before it, surfaces where a sequential search meets it
+            batches = (_evaluate_batch(model, table, pi, p[None]) for p in params)
+        for batch in batches:
+            fitnesses = batch.monitored.fitness.tolist()
+            if min(fitnesses) < 0:  # keep the history up to the first test case
+                fitnesses = fitnesses[: next(j for j, f in enumerate(fitnesses) if f < 0) + 1]
+            history.extend(fitnesses)
+            j = fitnesses.index(min(fitnesses))  # min keeps the first of equal values
+            if best is None or fitnesses[j] < best_fitness:
+                best_fitness, best = fitnesses[j], (batch, j)
+            if best_fitness < 0:
+                break
+        if annealing and current is None:  # the start point is taken as it is
+            current, current_fitness = params[0], fitnesses[0]
+        elif annealing:
+            delta = _metropolis_delta(fitnesses[0], current_fitness)
             if rng.random() < acceptance_probability(delta, temperature):
-                current, current_fitness = proposal, fitness
+                current, current_fitness = params[0], fitnesses[0]
             temperature *= cfg.sa.cooling
 
     assert best is not None

@@ -443,8 +443,10 @@ def _parse_name_list(rest: str, line_no: int, col: int) -> tuple[str, ...]:
     for part in rest.split(","):
         candidate = part.strip()
         if not _IDENT_RE.match(candidate):
-            raise TableSyntaxError(f"invalid signal name {candidate!r}", line_no, col)
+            at = col + len(part) - len(part.lstrip())  # where the name starts
+            raise TableSyntaxError(f"invalid signal name {candidate!r}", line_no, at)
         names.append(candidate)
+        col += len(part) + 1
     return tuple(names)
 
 

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from rtfalsify.expr import DivisionByZeroError
+from rtfalsify.expr import Const, DivisionByZeroError, Rel, SignalRef
 from rtfalsify.monitor import (
     ConflictingActionError,
     MissingActionError,
@@ -17,7 +17,13 @@ from rtfalsify.monitor import (
 )
 from rtfalsify.search import ParameterizedInput, SignalShape
 from rtfalsify.sim import MODEL_PRESETS, SignalMismatchError, Trace, make_model, simulate_batch
-from rtfalsify.table import RequirementsTable, load_bundled_table, parse_table
+from rtfalsify.table import (
+    Requirement,
+    RequirementsTable,
+    TableValidationError,
+    load_bundled_table,
+    parse_table,
+)
 from oracle import same_bits
 
 INF = math.inf
@@ -265,6 +271,15 @@ def test_empty_table_is_vacuously_satisfied():
     automaton = compile_table(RequirementsTable(name="Empty", inputs=("x",)))
     trace = Trace(dt=1.0, samples={"x": np.zeros(5)})
     assert run_monitor(automaton, trace).fitness == INF
+
+
+def test_an_unchecked_table_that_breaks_a_rule_is_rejected():
+    row = Requirement(index=1, postcondition=Rel("<", SignalRef("z"), Const(1.0)))
+    table = RequirementsTable(name="T", inputs=("x",), requirements=(row,))
+    trace = Trace(dt=1.0, samples={"x": np.zeros(3)})
+    with pytest.raises(TableValidationError) as err:
+        run_monitor(table, trace)
+    assert [d.kind for d in err.value.diagnostics] == ["UnknownSignal"]
 
 
 def test_running_minimum_is_monotone(sc_table):

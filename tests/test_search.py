@@ -433,6 +433,51 @@ def test_batched_uniform_search_meets_what_a_sequential_one_does():
     assert outcomes == {"TC", "error"}
 
 
+def sequential_annealing_outcome(model, automaton, pi, sa, seed, budget):
+    """Annealing's proposals stepped through ``evaluate``, drawing as ``falsify`` does."""
+    rng = np.random.default_rng(seed)
+    lows, highs = pi.bounds
+    params, current, temperature = rng.uniform(lows, highs), None, sa.initial_temperature
+    for i in range(budget):
+        if current is not None:
+            noise = rng.normal(0.0, 1.0, size=lows.size) * sa.proposal_scale * (highs - lows)
+            params = np.clip(current + noise, lows, highs)
+        try:
+            fitness = evaluate(model, automaton, pi, params).fitness
+        except NonFiniteOutputError as exc:
+            return ("error", str(exc))
+        if fitness < 0:
+            return ("TC", i + 1)
+        if current is None:
+            current, current_fitness = params, fitness
+            continue
+        delta = min(fitness, search.VACUOUS_PENALTY) - min(current_fitness, search.VACUOUS_PENALTY)
+        if rng.random() < acceptance_probability(delta, temperature):
+            current, current_fitness = params, fitness
+        temperature *= sa.cooling
+    return ("NFF", budget)
+
+
+def test_annealing_meets_what_a_sequential_run_does():
+    pi = single_signal_pi(horizon=10.0, dt=1.0, k=0)
+    automaton = compile_table(parse_table("table T\ninputs u, y\nreq 1\n  post y < 8\n"))
+    sa = SAConfig(proposal_scale=0.3)
+    outcomes = set()
+    for seed in range(12):
+        for threshold in (8.5, 9.0):
+            model = ThresholdModel(threshold)
+            expected = sequential_annealing_outcome(model, automaton, pi, sa, seed, budget=60)
+            cfg = SearchConfig(algorithm="simulated-annealing", budget=60, seed=seed, sa=sa)
+            try:
+                result = falsify(model, automaton, pi, cfg)
+                got = (result.verdict, result.iterations)
+            except NonFiniteOutputError as exc:
+                got = ("error", str(exc))
+            assert got == expected
+            outcomes.add(got[0])
+    assert {"TC", "error"} <= outcomes
+
+
 def test_best_evaluation_is_reproducible(omm_pi, omm_tables):
     cfg = SearchConfig(algorithm="uniform-random", budget=100, seed=4)
     result = falsify(make_model("omm-v1"), omm_tables[0], omm_pi, cfg)

@@ -292,9 +292,14 @@ def test_requirement_row_syntax_errors(body, message, line):
         ("table 1T\n", "invalid table name", 1, 7),
         ("table T\noutputs y\ninputs x\n", "'inputs' must directly follow 'table'", 3, 1),
         ("table T\ninputs\n", "expected a signal list or '-'", 2, 7),
-        ("table T\ninputs x, 1y\n", "invalid signal name '1y'", 2, 8),
+        ("table T\ninputs x, 1y\n", "invalid signal name '1y'", 2, 11),
+        ("table T\ninputs x\noutputs y, 2z\n", "invalid signal name '2z'", 3, 12),
+        ("table T\ninputs x,,y\n", "invalid signal name ''", 2, 10),
     ],
-    ids=["bad-table-name", "inputs-after-outputs", "empty-inputs", "bad-input-name"],
+    ids=[
+        "bad-table-name", "inputs-after-outputs", "empty-inputs", "bad-input-name",
+        "bad-output-name", "empty-input-name",
+    ],
 )
 def test_header_syntax_errors(text, message, line, column):
     with pytest.raises(TableSyntaxError, match=message) as err:
