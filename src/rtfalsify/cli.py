@@ -258,6 +258,11 @@ def _build_run_setup(args: argparse.Namespace) -> tuple[ParameterizedInput, Sear
         pi = ParameterizedInput(shapes=tuple(shapes.values()), horizon=horizon, dt=dt)
     except ValueError as exc:  # the shapes are checked: only the sample count is left
         raise ValueError(f"--horizon/--dt: {exc}") from None
+    if pi.times.size < 2:  # monitor infers dt from a trace file's first two rows
+        raise ValueError(
+            f"--horizon/--dt: horizon {horizon!r} / dt {dt!r} gives 1 sample, "
+            "but a test-case trace needs at least 2"
+        )
     for shape in pi.shapes:  # more switches than samples make no new trace, only a huge box
         if shape.discontinuities > pi.times.size:
             raise argparse.ArgumentTypeError(
@@ -311,11 +316,13 @@ _SUMMARY_KEYS = ("seed", "verdict", "iterations", "best_fitness", "violated_requ
 def cmd_falsify(args: argparse.Namespace) -> int:
     import json
 
+    from .search import _check_signals
     from .sim import make_model
 
     table = _load_table_arg(args.table)
     pi, base_cfg, echo = _build_run_setup(args)
     model = make_model(args.model)
+    _check_signals(model, table, pi)  # a mismatch fails before --out is made
     os.makedirs(args.out, exist_ok=True)
 
     summaries = []

@@ -29,7 +29,7 @@ import numpy as np
 
 from .expr import RunError
 from .monitor import MonitorBatch, MonitorRun, compile_table, monitor_batch, run_monitor
-from .sim import SystemModel, Trace, n_samples_for, simulate, simulate_batch
+from .sim import SignalMismatchError, SystemModel, Trace, n_samples_for, simulate, simulate_batch
 from .table import RequirementsTable
 
 INF = math.inf
@@ -296,6 +296,18 @@ def _evaluate_batch(model, table: RequirementsTable, pi: ParameterizedInput, par
     return _Batch(params, signals, monitor_batch(table, signals, pi.times), pi.dt)
 
 
+def _check_signals(model: SystemModel, table: RequirementsTable, pi: ParameterizedInput) -> None:
+    """Raise SignalMismatchError unless the box feeds the model and the traces feed the table."""
+    box = [shape.name for shape in pi.shapes]
+    for needed, given, message in (
+        (model.inputs, box, "input trace is missing signals"),
+        (table.inputs, [*box, *model.outputs], "trace is missing table inputs"),
+    ):
+        missing = [s for s in needed if s not in given]
+        if missing:
+            raise SignalMismatchError(f"{message}: {', '.join(missing)}")
+
+
 def violated_requirements(run: MonitorRun) -> tuple[int, ...]:
     """Indexes of requirements whose degree hit the (negative) overall minimum."""
     if not (run.fitness < 0):
@@ -326,9 +338,12 @@ def falsify(
 
     Stops at the first iteration whose fitness is negative (verdict TC) or
     when the budget is exhausted (verdict NFF). Identical configuration and
-    seed give identical results, including the fitness history.
+    seed give identical results, including the fitness history. A box and
+    model whose signals do not cover the model's inputs and the table's
+    raise SignalMismatchError before any candidate is drawn or simulated.
     """
     table = compile_table(table)
+    _check_signals(model, table, pi)
     lows, highs = pi.bounds
     spans = highs - lows
     rng = np.random.default_rng(cfg.seed)

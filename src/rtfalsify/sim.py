@@ -1,10 +1,10 @@
 """Discrete-time simulation harness: traces, the model interface, built-ins.
 
-A Trace is a uniformly sampled multi-signal time series. Models implement a
-tiny step interface so the falsification loop can drive anything that maps
-input samples to output samples deterministically, and may add a batched
-method that runs many input traces at once; two built-ins ship with the
-package, addressable by preset name from the CLI:
+A Trace is a uniformly sampled multi-signal time series. A model maps whole
+input traces to whole output traces deterministically, many traces at once,
+through ``run_batch``; a per-sample ``reset``/``step`` pair is enough for
+the default. Two built-ins ship with the package, addressable by preset name
+from the CLI:
 
 * ``omm-v0`` .. ``omm-v3``: a memoryless two-input/two-output gain model
   with optional cross gains between the channels and saturated outputs.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-from abc import ABC, abstractmethod
 from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
@@ -93,25 +92,25 @@ def n_samples_for(horizon: float, dt: float) -> int:
     return int(math.floor(steps)) + 1
 
 
-class SystemModel(ABC):
+class SystemModel:
     """A deterministic discrete-time system.
 
-    ``reset`` returns a fresh internal state (identical every call, so runs
-    are reproducible); ``step`` maps the state and one input sample to the
-    output sample for the same instant and advances the state in place.
-    ``run_batch`` simulates many input traces at once; its default drives
-    ``reset``/``step``, and a model may override it with array code that
-    gives the same floats.
+    ``run_batch`` simulates many input traces at once and is all the search
+    calls. A model either overrides it, as the built-ins do, or implements
+    the per-sample pair its default drives: ``reset`` returns a fresh
+    internal state (identical every call, so runs are reproducible) and
+    ``step`` maps the state and one input sample to the output sample for
+    the same instant, advancing the state in place.
     """
 
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
 
-    @abstractmethod
-    def reset(self) -> Any: ...
+    def reset(self) -> Any:
+        return None
 
-    @abstractmethod
-    def step(self, state: Any, inputs: Mapping[str, float], dt: float) -> dict[str, float]: ...
+    def step(self, state: Any, inputs: Mapping[str, float], dt: float) -> dict[str, float]:
+        raise NotImplementedError(f"{type(self).__name__}: implement step or override run_batch")
 
     def run_batch(self, inputs: Mapping[str, np.ndarray], dt: float) -> dict[str, np.ndarray]:
         """Outputs for a batch of input traces, as arrays of shape (traces, samples).
@@ -150,13 +149,6 @@ class GainCrossModel(SystemModel):
         self.g12 = g12
         self.g21 = g21
 
-    def reset(self) -> None:
-        return None
-
-    def step(self, state: None, inputs: Mapping[str, float], dt: float) -> dict[str, float]:
-        batch = {name: np.array([[inputs[name]]]) for name in self.inputs}
-        return {name: float(values[0, 0]) for name, values in self.run_batch(batch, dt).items()}
-
     def run_batch(self, inputs: Mapping[str, np.ndarray], dt: float) -> dict[str, np.ndarray]:
         # with non-zero bounds np.maximum/np.minimum give Python's min(max(x, lo), hi)
         # bit for bit, NaN included: a tie can only be between equal non-zero floats
@@ -193,10 +185,6 @@ class PlantDemoModel(SystemModel):
         cooling_eq = (2.0 * self.NOMINAL_FLOW - 0.05 * (self.SETPOINT - 80.0)) / 0.8
         return [self.INITIAL_PRESSURE, cooling_eq / self.KI]
 
-    def step(self, state: list[float], inputs: Mapping[str, float], dt: float) -> dict[str, float]:
-        temperatures, pressures = self._integrate(state, [inputs["F_s"]], dt)
-        return {"T_s": temperatures[0], "P_s": pressures[0]}
-
     def run_batch(self, inputs: Mapping[str, np.ndarray], dt: float) -> dict[str, np.ndarray]:
         # a loop over plain floats: per-sample numpy calls would cost more than the arithmetic
         runs = [self._integrate(self.reset(), flows, dt) for flows in inputs["F_s"].tolist()]
@@ -205,7 +193,7 @@ class PlantDemoModel(SystemModel):
     def _integrate(
         self, state: list[float], flows: list[float], dt: float
     ) -> tuple[list[float], list[float]]:
-        """Step through ``flows``, advancing ``state`` in place; returns the T_s and P_s samples."""
+        """Step through ``flows`` from ``state``; returns the T_s and P_s samples."""
         pressure, integral = state
         setpoint, limit, kp, ki = self.SETPOINT, self.INTEGRATOR_LIMIT, self.KP, self.KI
         temperatures, pressures = [], []
@@ -217,7 +205,6 @@ class PlantDemoModel(SystemModel):
             cooling = kp * error + ki * integral
             dp = (2.0 * flow - 0.8 * cooling - 0.05 * (pressure - 80.0)) / self.TIME_CONSTANT
             pressure = pressure + dt * dp
-        state[0], state[1] = pressure, integral
         return temperatures, pressures
 
 

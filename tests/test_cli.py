@@ -241,6 +241,33 @@ def test_falsify_nff_exit(tmp_path):
     assert not (out / "testcase_trace.csv").exists()
 
 
+@pytest.fixture()
+def no_search(monkeypatch):
+    from rtfalsify import search
+
+    def refuse(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(search, "falsify", refuse)
+
+
+def test_falsify_model_table_mismatch_fails_before_search(tmp_path, capsys, no_search):
+    out = tmp_path / "run"
+    code = run_cli(
+        "falsify", "--model", "plant-demo", "--table", "omm-rt0", "--budget", "3",
+        "--out", str(out),
+    )
+    assert code == 3
+    assert capsys.readouterr().err == "error: trace is missing table inputs: u1, u2, y1, y2\n"
+    assert not out.exists()
+
+
+def test_falsify_out_that_is_a_file_fails_before_search(tmp_path, no_search):
+    out = tmp_path / "run"
+    out.write_text("")
+    assert run_cli("falsify", "--model", "omm-v1", "--table", "omm-rt0", "--out", str(out)) == 3
+
+
 def assert_one_usage_line(err: str) -> str:
     """The usage error's single line: no usage block before it."""
     assert err.startswith("usage error: ") and err.count("\n") == 1
@@ -282,8 +309,10 @@ def test_falsify_non_finite_argument_is_usage_error(tmp_path, capsys, option, va
         (("--horizon", "1e300", "--dt", "1e-300"), "horizon / dt is not finite"),
         # a finite sample count past what numpy can allocate
         (("--dt", "1e-300"), "horizon 10.0 / dt 1e-300 gives 1e+301 samples, too many"),
+        # one sample makes a test-case trace that monitor cannot read back
+        (("--horizon", "0.1"), "horizon 0.1 / dt 0.5 gives 1 sample, "),
     ],
-    ids=["non-finite-count", "too-many-samples"],
+    ids=["non-finite-count", "too-many-samples", "one-sample"],
 )
 def test_falsify_unusable_sample_count_is_usage_error(tmp_path, capsys, sizes, message):
     out = tmp_path / "run"

@@ -19,7 +19,7 @@ from rtfalsify.search import (
     falsify,
     violated_requirements,
 )
-from rtfalsify.sim import NonFiniteOutputError, SystemModel, Trace, make_model
+from rtfalsify.sim import NonFiniteOutputError, SignalMismatchError, SystemModel, Trace, make_model
 from rtfalsify.table import RequirementsTable, parse_table
 
 INF = math.inf
@@ -393,12 +393,42 @@ class ThresholdModel(SystemModel):
     def __init__(self, threshold):
         self.threshold = threshold
 
-    def reset(self):
-        return None
-
     def step(self, state, inputs, dt):
         u = inputs["u"]
         return {"y": u if u <= self.threshold else math.nan}
+
+
+class CountingModel(SystemModel):
+    """A memoryless y = u that counts its batches."""
+
+    inputs = ("u",)
+    outputs = ("y",)
+    batches = 0
+
+    def run_batch(self, inputs, dt):
+        self.batches += 1
+        return {"y": inputs["u"]}
+
+
+@pytest.mark.parametrize(
+    "inputs, table_inputs, message",
+    [
+        (("u", "w"), "u, y", "input trace is missing signals: w"),
+        (("u",), "u, v, y, z", "trace is missing table inputs: v, z"),
+    ],
+    ids=["model-input", "table-input"],
+)
+def test_signal_mismatch_fails_before_any_simulation(inputs, table_inputs, message):
+    def table(names):
+        return parse_table(f"table T\ninputs {names}\nreq 1\n  post y < 5\n")
+
+    model, matched = CountingModel(), CountingModel()
+    model.inputs = inputs
+    with pytest.raises(SignalMismatchError, match=f"^{message}$"):
+        falsify(model, table(table_inputs), single_signal_pi(), SearchConfig(budget=10))
+    assert model.batches == 0
+    falsify(matched, table("u, y"), single_signal_pi(), SearchConfig(budget=10))
+    assert matched.batches > 0
 
 
 def sequential_outcome(model, automaton, pi, seed, budget):

@@ -105,10 +105,7 @@ def test_non_finite_output_detected():
         inputs = ("u",)
         outputs = ("y",)
 
-        def reset(self):
-            return None
-
-        def step(self, state, inputs, dt):
+        def step(self, state, inputs, dt):  # the base reset gives a state of None
             return {"y": float("nan")}
 
     trace = Trace(dt=1.0, samples={"u": np.zeros(2)})
@@ -151,16 +148,27 @@ def clamp_edge_inputs(clamp, n=1200):
     + [("omm-v0", GainCrossModel(g21=0.5), clamp_edge_inputs(CLAMP))],
     ids=sorted(MODEL_PRESETS) + [f"clamp{CLAMP}"],
 )
-def test_batched_models_match_their_step_adapter(name, model, inputs):
+def test_batched_models_run_each_row_alone(name, model, inputs):
+    # each trace of a batch starts from a fresh state, as if it were run by itself
     preset = MODEL_PRESETS[name]
     if inputs is None:
         rng = np.random.default_rng(3)
         n = min(n_samples_for(preset.horizon, preset.dt), 500)
         inputs = {s: rng.uniform(lo, hi, size=(3, n)) for s, (lo, hi) in preset.input_bounds.items()}
     batched = model.run_batch(inputs, preset.dt)
-    stepped = SystemModel.run_batch(model, inputs, preset.dt)  # the reset/step adapter
-    for sig in model.outputs:
-        assert same_bits(batched[sig], stepped[sig])
+    for row in range(3):
+        alone = model.run_batch({s: v[row : row + 1] for s, v in inputs.items()}, preset.dt)
+        for sig in model.outputs:
+            assert same_bits(batched[sig][row], alone[sig][0])
+
+
+def test_model_without_step_or_run_batch_names_what_to_implement():
+    class Silent(SystemModel):
+        inputs = ("u",)
+        outputs = ("y",)
+
+    with pytest.raises(NotImplementedError, match="^Silent: implement step or override run_batch$"):
+        Silent().run_batch({"u": np.zeros((1, 2))}, 1.0)
 
 
 @pytest.mark.parametrize("clamp", [CLAMP], ids=str)
