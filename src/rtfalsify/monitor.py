@@ -42,7 +42,6 @@ samples at once; the one intended difference is that a NaN operand of
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 from dataclasses import dataclass
@@ -67,7 +66,7 @@ from .expr import (
     SignalRef,
     TimeVar,
 )
-from .sim import SignalMismatchError, Trace, write_csv_columns
+from .sim import SignalMismatchError, Trace, write_csv
 from .table import Requirement, RequirementsTable, TableValidationError
 
 INF = math.inf
@@ -479,10 +478,5 @@ def _postcondition_active(guard: np.ndarray, req: Requirement, times) -> np.ndar
 
 def write_degree_csv(run: MonitorRun, path: str) -> None:
     """Write the per-step degrees as CSV: t, ff_1..ff_n, ff_total_running."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", *(f"ff_{idx}" for idx in run.requirement_indexes), "ff_total_running"]
-        )
-        # Python floats: under numpy 2 the repr of an np.float64 is "np.float64(...)"
-        write_csv_columns(fh, [c.tolist() for c in (run.times, *run.degrees.T, run.running)])
+    header = ["t", *(f"ff_{idx}" for idx in run.requirement_indexes), "ff_total_running"]
+    write_csv(path, header, [run.times, *run.degrees.T, run.running])

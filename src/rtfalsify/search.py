@@ -192,11 +192,15 @@ class ParameterizedInput:
             levels = columns[offset : offset + k + 1]
             switches = columns[offset + k + 1 : offset + 2 * k + 1]
             offset += 2 * k + 1
-            if k == 1:  # the default shape: one select is cheaper than the gather below
+            if k == 1:  # the default shape: one select is cheaper than the loop below
                 signals[shape.name] = np.where(self.times >= switches[0], levels[1], levels[0])
             else:  # a sample takes the level after as many switches as lie at or before it
-                passed = (switches <= self.times).sum(axis=0)
-                signals[shape.name] = np.take_along_axis(levels[:, :, 0].T, passed, axis=1)
+                # one in-place select per switch in time order, so memory is one
+                # (rows, samples) array whatever the switch count
+                signal = np.repeat(levels[0], self.times.size, axis=1)
+                for switch, level in zip(np.sort(switches, axis=0), levels[1:]):
+                    np.copyto(signal, level, where=self.times >= switch)
+                signals[shape.name] = signal
         return signals
 
 
@@ -348,19 +352,17 @@ def falsify(
     spans = highs - lows
     rng = np.random.default_rng(cfg.seed)
     annealing = cfg.algorithm == SIMULATED_ANNEALING
-    max_rows = max(1, BATCH_SAMPLES // pi.times.size)
+    max_rows = 1 if annealing else max(1, BATCH_SAMPLES // pi.times.size)
     current, temperature = None, cfg.sa.initial_temperature
 
     history: list[float] = []
     best_fitness = INF
     best: tuple[_Batch, int] | None = None
     while best_fitness >= 0 and len(history) < cfg.budget:
-        if not annealing:
+        if current is None:  # a uniform-random batch, or annealing's start point
             m = min(max_rows, cfg.budget - len(history))
             # the floats of rng.uniform(lows, highs, size=(m, d)), without its argument checks
             params = lows + spans * rng.random((m, lows.size))
-        elif current is None:
-            params = rng.uniform(lows, highs)[None]
         else:
             # Gaussian noise with standard deviation proposal_scale times each
             # parameter's range, clamped back into the box

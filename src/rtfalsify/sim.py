@@ -248,15 +248,16 @@ def simulate_batch(
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Write a trace as CSV with the time column first, signals in declared order."""
-    columns = [trace.times.tolist(), *(trace.samples[s].tolist() for s in trace.signals)]
+    write_csv(path, ["t", *trace.signals], [trace.times, *trace.samples.values()])
+
+
+def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write a header and float columns row by row, as csv.writer does for floats."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["t", *trace.signals])
-        write_csv_columns(fh, columns)
-
-
-def write_csv_columns(fh, columns) -> None:
-    """Write float columns row by row as csv.writer does: a float's repr needs no quoting."""
-    fh.writelines(",".join(row) + "\r\n" for row in zip(*(map(repr, c) for c in columns)))
+        csv.writer(fh).writerow(header)
+        # Python floats, since numpy 2's repr of one is "np.float64(...)"; none needs quoting
+        rows = zip(*(map(repr, c.tolist()) for c in columns))
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def read_trace_csv(path: str) -> Trace:

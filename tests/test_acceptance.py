@@ -271,3 +271,24 @@ def test_criterion_8_plant_demo_oracle_agreement():
         f"demo verdict {result.verdict} in {result.iterations} iterations, "
         f"{agreed}/{checked} traces agree",
     )
+
+
+# --- known gap: boundary soundness (ROADMAP item 4) -------------------------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: a fitness of exactly 0 on a saturated output is not a TC yet",
+)
+def test_saturated_output_on_the_bound_is_a_test_case():
+    # omm-v0 clamps y1 at exactly 10.2 for every u1 >= 10.2, so `y1 < 10.2`
+    # is classically false there while its degree is 0.0
+    table = parse_table("table T\ninputs u1, u2, y1, y2\nreq 1\n  post y1 < 10.2\n")
+    pi = ParameterizedInput(
+        shapes=(SignalShape("u1", -100.0, 100.0, 0), SignalShape("u2", -100.0, 100.0)),
+        horizon=10.0,
+        dt=0.5,
+    )
+    result = falsify(make_model("omm-v0"), table, pi, SearchConfig(budget=300, seed=0))
+    assert replay_violation(table, result.best_evaluation.trace)
+    assert result.verdict == "TC"

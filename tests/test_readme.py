@@ -1,4 +1,4 @@
-"""The README's custom-model example runs as written."""
+"""The README's library examples run as written."""
 
 import re
 from pathlib import Path
@@ -12,9 +12,12 @@ from rtfalsify.table import parse_table
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _python_blocks(text):
+    return re.findall(r"```python\n(.*?)```", text, re.S)
+
+
 def _readme_doubler():
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
-    (block,) = [b for b in blocks if "class Doubler(SystemModel)" in b]
+    (block,) = [b for b in _python_blocks(README.read_text()) if "class Doubler(SystemModel)" in b]
     namespace = {}
     exec(block, namespace)
     return namespace["Doubler"]
@@ -31,3 +34,11 @@ def test_readme_doubler_simulates_and_is_falsified():
     result = falsify(model, table, pi, SearchConfig(budget=200, seed=0))
     assert result.verdict == "TC"
     assert result.best_evaluation.trace.samples["y"].max() >= 150
+
+
+def test_readme_library_example_finds_a_test_case(capsys):
+    library_use = README.read_text().split("## Library use", 1)[1]
+    exec(_python_blocks(library_use)[0], {})
+    verdict, violated, fitness = capsys.readouterr().out.split(" ", 2)
+    assert (verdict, violated) == ("TC", "(2,)")
+    assert float(fitness) < 0

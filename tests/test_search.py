@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,21 @@ def test_instantiate_batch_matches_a_per_signal_gather(counts, horizon, dt):
             assert [repr(v) for v in got[name].ravel().tolist()] == [
                 repr(v) for v in signal.ravel().tolist()
             ]
+
+
+def test_instantiate_batch_memory_does_not_grow_with_the_switch_count():
+    # one switch per sample: a switches-by-samples comparison would take about 4 MB
+    pi = single_signal_pi(horizon=200.0, dt=0.1, k=2000)
+    assert pi.times.size == 2001
+    lows, highs = pi.bounds
+    values = lows + (highs - lows) * np.random.default_rng(0).random((1, lows.size))
+    tracemalloc.start()
+    try:
+        pi.instantiate_batch(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # --- evaluate -------------------------------------------------------------------
