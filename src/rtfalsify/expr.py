@@ -3,9 +3,13 @@
 Preconditions, postconditions and action values are built from one AST of
 arithmetic and relational nodes. Boolean expressions have two semantics:
 classical two-valued truth (``eval_bool``) and a signed satisfaction degree
-(``degree``) where a positive value means the expression holds and the
-magnitude measures the distance to the satisfaction boundary. Conjunction
-maps to min, disjunction to max, negation flips the sign.
+(``degree``) whose sign is the truth and whose magnitude measures the
+distance to the satisfaction boundary. Conjunction maps to min,
+disjunction to max, negation flips the sign.
+
+A degree is never zero: a relational atom with equal operands scores
+``TIE_DEGREE[op]``, ±5e-324 signed by the relation's truth. No real margin
+is smaller, so degrees keep the order of their margins.
 
 Degrees are plain floats on the extended real line: ``math.inf`` is the
 degree of an inactive requirement and the identity of min-aggregation.
@@ -18,6 +22,7 @@ the table parser, and with it ``rtfalsify check``, runs without it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
 
@@ -109,6 +114,10 @@ BoolExpr = Union[Rel, And, Or, Not]
 
 REL_OPS = (">", "<", ">=", "<=", "==", "!=")
 
+_TINY = math.ulp(0.0)  # 5e-324, the smallest subnormal
+# a zero margin's degree, signed by the relation's truth at a tie
+TIE_DEGREE = {">": -_TINY, "<": -_TINY, "!=": -_TINY, ">=": _TINY, "<=": _TINY, "==": _TINY}
+
 
 @dataclass(frozen=True)
 class Env:
@@ -195,24 +204,25 @@ def degree(e: BoolExpr, env: Env) -> float:
 
     Relational atoms become signed margins (``a > b`` and ``a >= b`` both
     give ``a - b``, the mirrored forms give ``b - a``, equality gives
-    ``-|a - b|`` and inequality ``|a - b|``); ``&`` becomes min, ``|``
-    becomes max, ``~`` negates. A violation is a strictly negative degree;
-    at exactly zero the strict operators disagree with ``eval_bool``, which
-    callers treat as a measure-zero boundary band.
+    ``-|a - b|`` and inequality ``|a - b|``, and a zero margin gives
+    ``TIE_DEGREE[op]``); ``&`` becomes min, ``|`` becomes max, ``~`` negates.
+    A degree that is not NaN is negative exactly when ``eval_bool`` is false.
     """
     match e:
         case Rel(op, lhs, rhs):
             a = eval_arith(lhs, env)
             b = eval_arith(rhs, env)
             if op in (">", ">="):
-                return a - b
-            if op in ("<", "<="):
-                return b - a
-            if op == "==":
-                return -abs(a - b)
-            if op == "!=":
-                return abs(a - b)
-            raise ValueError(f"unknown relational operator {op!r}")
+                d = a - b
+            elif op in ("<", "<="):
+                d = b - a
+            elif op == "==":
+                d = -abs(a - b)
+            elif op == "!=":
+                d = abs(a - b)
+            else:
+                raise ValueError(f"unknown relational operator {op!r}")
+            return TIE_DEGREE[op] if d == 0 else d
         case And(lhs, rhs):
             return min(degree(lhs, env), degree(rhs, env))
         case Or(lhs, rhs):

@@ -64,6 +64,7 @@ from .expr import (
     Rel,
     RunError,
     SignalRef,
+    TIE_DEGREE,
     TimeVar,
 )
 from .sim import SignalMismatchError, Trace, write_csv
@@ -141,28 +142,14 @@ class MonitorBatch:
     def run(self, c: int) -> MonitorRun:
         """Candidate ``c``'s run, sharing the batch's arrays: copy them before changing them."""
         degrees = self.degrees[c]
-        running = np.minimum.accumulate(degrees.min(axis=1, initial=INF))
         return MonitorRun(
             times=self.times,
             requirement_indexes=self.requirement_indexes,
             degrees=degrees,
-            running=_first_zero_sign(running, degrees.ravel()),
+            running=np.minimum.accumulate(degrees.min(axis=1, initial=INF)),
             outputs={name: values[c] for name, values in self.outputs.items()},
             fitness=float(self.fitness[c]),
         )
-
-
-def _first_zero_sign(minima: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Give zero minima the sign of the first zero in ``values``' last axis.
-
-    Folding ``if d < current: current = d`` over the degrees in step order
-    keeps the first of equal minima; only zeros can differ among equals.
-    """
-    zero = minima == 0
-    if np.count_nonzero(zero):
-        first = np.take_along_axis(values, np.argmax(values == 0, axis=-1)[..., None], axis=-1)
-        minima = np.where(zero, first[..., 0], minima)
-    return minima
 
 
 def run_monitor(table: RequirementsTable, trace) -> MonitorRun:
@@ -282,21 +269,21 @@ def degree_array(e: BoolExpr, env: ArrayEnv, live=True):
             a = arith_array(lhs, env, live)
             b = arith_array(rhs, env, live)
             if op in (">", ">="):
-                return a - b
-            if op in ("<", "<="):
-                return b - a
-            if op == "==":
-                return -abs(a - b)
-            if op == "!=":
-                return abs(a - b)
-            raise ValueError(f"unknown relational operator {op!r}")
+                d = a - b
+            elif op in ("<", "<="):
+                d = b - a
+            elif op == "==":
+                d = -abs(a - b)
+            elif op == "!=":
+                d = abs(a - b)
+            else:
+                raise ValueError(f"unknown relational operator {op!r}")
+            tie = d == 0
+            return np.where(tie, TIE_DEGREE[op], d) if np.count_nonzero(tie) else d
         case And(lhs, rhs):
-            a, b = degree_array(lhs, env, live), degree_array(rhs, env, live)
-            # on ties keep a, as min(a, b) does: it decides the sign of a zero
-            return np.where(a == b, a, np.minimum(a, b))
+            return np.minimum(degree_array(lhs, env, live), degree_array(rhs, env, live))
         case Or(lhs, rhs):
-            a, b = degree_array(lhs, env, live), degree_array(rhs, env, live)
-            return np.where(a == b, a, np.maximum(a, b))
+            return np.maximum(degree_array(lhs, env, live), degree_array(rhs, env, live))
         case Not(operand):
             return -degree_array(operand, env, live)
     raise TypeError(f"not a boolean expression: {e!r}")
@@ -352,7 +339,7 @@ class _Engine:
             requirement_indexes=table.requirement_indexes,
             degrees=degrees,
             outputs=values,
-            fitness=_first_zero_sign(fitness, degrees.reshape(n_candidates, -1)),
+            fitness=fitness,
         )
 
     def _recurrence(self, active: list[np.ndarray]) -> dict[str, np.ndarray]:

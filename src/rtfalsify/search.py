@@ -326,10 +326,10 @@ def _metropolis_delta(proposal_fitness: float, current_fitness: float) -> float:
 
 
 def acceptance_probability(delta: float, temperature: float) -> float:
-    """Metropolis rule: improving moves always pass, worsening ones decay."""
+    """Metropolis rule: improving moves always pass, worsening ones decay to 0 as T reaches 0."""
     if delta <= 0:
         return 1.0
-    return math.exp(-delta / temperature)
+    return math.exp(-delta / temperature) if temperature > 0 else 0.0
 
 
 def falsify(

@@ -94,15 +94,6 @@ def replay_violation(table: RequirementsTable, trace: Trace) -> bool:
     return violated
 
 
-def finite_degrees(run) -> np.ndarray:
-    return run.degrees[np.isfinite(run.degrees)]
-
-
-def near_boundary(run, eps: float = 1e-9) -> bool:
-    """True when any emitted finite degree sits inside the exclusion band."""
-    return bool((np.abs(finite_degrees(run)) < eps).any())
-
-
 def same_bits(a, b) -> bool:
     """Equal bit for bit: -0.0 differs from 0.0, and a NaN equals only the same NaN."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)

@@ -71,10 +71,9 @@ def test_aggregation_is_order_insensitive():
     assert run_degrees(steps).fitness == run_degrees(reversed_steps).fitness
 
 
-def test_equal_minima_keep_the_first():
-    # a fold that replaces its value only on a strictly smaller degree keeps
-    # the first of equal minima; among zeros that decides the printed sign
-    assert repr(run_degrees([(0.0, -0.0)]).fitness) == "0.0"
-    assert repr(run_degrees([(-0.0, 0.0)]).fitness) == "-0.0"
+def test_ties_aggregate_as_the_smallest_violation():
+    # `x > 0` is false at x = 0.0 and at x = -0.0: both tie to -5e-324
+    tie = -math.ulp(0.0)
+    assert run_degrees([(0.0, -0.0)]).fitness == run_degrees([(-0.0, 0.0)]).fitness == tie
     run = run_degrees([(1.0, -0.0), (0.0, 2.0), (-1.0, INF)])
-    assert [repr(x) for x in run.running.tolist()] == ["-0.0", "-0.0", "-1.0"]
+    assert run.running.tolist() == [tie, tie, -1.0]

@@ -191,7 +191,7 @@ def test_monitor_writes_the_degree_csv(tmp_path, capsys):
     assert (out_dir / "degrees.csv").read_bytes() == (
         b"t,ff_1,ff_2,ff_total_running\r\n"
         b"0.0,inf,inf,inf\r\n"
-        b"1.0,-0.0,1.0,-0.0\r\n"
+        b"1.0,-5e-324,1.0,-5e-324\r\n"
         b"2.0,-inf,1.0,-inf\r\n"
         b"3.0,inf,0.5,-inf\r\n"
     )
@@ -453,6 +453,17 @@ def test_falsify_accepts_sa_scale_one(tmp_path):
     assert code in (0, 10)
     config = json.loads((out / "result.json").read_text())["config"]
     assert config["sa"] == {"initial_temperature": 1.0, "cooling": 0.5, "proposal_scale": 1.0}
+
+
+def test_falsify_sa_cooled_to_zero_ends_nff(tmp_path):
+    # 0.5 ** n underflows to 0.0 after about 1,075 of the 1,500 default steps
+    out = tmp_path / "run"
+    code = run_cli(
+        "falsify", "--model", "omm-v0", "--table", "omm-rt1", "--algo", "sa",
+        "--sa-cooling", "0.5", "--out", str(out),
+    )
+    assert code == 10
+    assert json.loads((out / "result.json").read_text())["verdict"] == "NFF"
 
 
 def test_falsify_unknown_model_is_usage_error(capsys):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import random_arith_expr, random_bool_expr
+from oracle import random_arith_expr, random_bool_expr, same_bits
 from rtfalsify.expr import (
+    REL_OPS,
     And,
     BinaryArith,
     Const,
@@ -77,11 +78,6 @@ def test_bool_time_window():
 def test_degree_band():
     # min(P_s - 87, -(P_s - 87.5)) with P_s = 87.25
     assert degree(band(87.0, 87.5), Env(signals={"P_s": 87.25})) == 0.25
-
-
-def test_degree_equality_of_same_signal_is_zero():
-    e = Rel("==", SignalRef("x"), SignalRef("x"))
-    assert degree(e, Env(signals={"x": 3.7})) == 0.0
 
 
 def test_degree_mixed_conjunction():
@@ -166,8 +162,8 @@ _envs = st.builds(
 @given(e=_bool(), env=_envs)
 def test_sign_coherence(e, env):
     d = degree(e, env)
-    if abs(d) < 1e-9 or not math.isfinite(d):
-        return  # boundary band and overflow are out of scope for the sign law
+    if not math.isfinite(d):
+        return  # overflow is out of scope for the sign law
     if d > 0:
         assert eval_bool(e, env) is True
     else:
@@ -188,6 +184,30 @@ def test_less_than_equals_negated_geq(lhs, rhs, env):
     direct = degree(Rel("<", lhs, rhs), env)
     rewritten = degree(Not(Rel(">=", lhs, rhs)), env)
     assert direct == rewritten or (math.isnan(direct) and math.isnan(rewritten))
+
+
+# --- ties -------------------------------------------------------------------
+
+TINY = math.ulp(0.0)  # 5e-324
+
+
+def _tie_degrees(e, x, y):
+    """``e``'s degree with ``x`` and ``y`` bound, on the scalar path and the array path."""
+    env = ArrayEnv(signals={"x": np.array([x]), "y": np.array([y])}, prev={}, t=0.0)
+    return degree(e, Env(signals={"x": x, "y": y})), float(degree_array(e, env)[0])
+
+
+@pytest.mark.parametrize("x, y", [(3.7, 3.7), (0.0, -0.0)], ids=["equal", "signed-zeros"])
+@pytest.mark.parametrize("op", REL_OPS)
+def test_tie_degree_is_the_smallest_float_with_the_relations_truth(op, x, y):
+    atom = Rel(op, SignalRef("x"), SignalRef("y"))
+    truth = eval_bool(atom, Env(signals={"x": x, "y": y}))
+    assert same_bits(_tie_degrees(atom, x, y), [TINY if truth else -TINY] * 2)
+    assert same_bits(_tie_degrees(Not(atom), x, y), [-TINY if truth else TINY] * 2)
+    for op2 in REL_OPS:  # De Morgan, exactly, between two tied atoms
+        other = Rel(op2, SignalRef("y"), SignalRef("x"))
+        lhs = _tie_degrees(Not(And(atom, other)), x, y)
+        assert same_bits(lhs, _tie_degrees(Or(Not(atom), Not(other)), x, y))
 
 
 # --- array evaluation against the scalar reference ----------------------------

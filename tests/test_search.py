@@ -217,7 +217,7 @@ def test_evaluate_forced_violation(omm_pi, omm_tables):
     [
         ([3.0, 1.0], (1, 3)),  # rows 1 and 3 tie at -1.0
         ([3.0, INF], (2,)),  # row 2's degree is 10 - inf = -inf
-        ([3.0, 2.0], ()),  # a fitness of 0.0 is no violation
+        ([3.0, 2.0], (1, 3)),  # rows 1 and 3 tie at -5e-324: x > 2 is false at x == 2
     ],
 )
 def test_violated_requirements_are_the_rows_at_the_minimum(x, violated):
@@ -289,6 +289,7 @@ def test_acceptance_vanishes_as_temperature_drops():
     probs = [acceptance_probability(0.5, T) for T in (1.0, 0.1, 1e-3, 1e-9)]
     assert all(a >= b for a, b in zip(probs, probs[1:]))
     assert probs[-1] == 0.0
+    assert acceptance_probability(1.0, 0.0) == 0.0  # cooling underflowed to 0
 
 
 def test_annealing_proposals_stay_in_bounds(monkeypatch, omm_pi, omm_tables):
