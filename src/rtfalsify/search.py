@@ -280,24 +280,10 @@ def evaluate(
     return Evaluation(fitness=run.fitness, trace=merged, run=run)
 
 
-@dataclass
-class _Batch:
-    """Candidates that went through instantiate, simulate and monitor together."""
-
-    params: np.ndarray  # (candidates, parameters)
-    signals: dict[str, np.ndarray]  # inputs and outputs, (candidates, samples)
-    monitored: MonitorBatch
-    dt: float
-
-    def evaluation(self, c: int) -> Evaluation:
-        run = self.monitored.run(c)
-        trace = Trace(dt=self.dt, samples={name: v[c] for name, v in self.signals.items()})
-        return Evaluation(fitness=run.fitness, trace=trace, run=run)
-
-
-def _evaluate_batch(model, table: RequirementsTable, pi: ParameterizedInput, params) -> _Batch:
+def _evaluate_batch(model, table, pi: ParameterizedInput, params) -> tuple[dict, MonitorBatch]:
+    """The candidates' inputs and outputs, (candidates, samples) each, and their monitored batch."""
     signals = simulate_batch(model, pi.instantiate_batch(params), pi.dt)
-    return _Batch(params, signals, monitor_batch(table, signals, pi.times), pi.dt)
+    return signals, monitor_batch(table, signals, pi.times)
 
 
 def _check_signals(model: SystemModel, table: RequirementsTable, pi: ParameterizedInput) -> None:
@@ -357,7 +343,7 @@ def falsify(
 
     history: list[float] = []
     best_fitness = INF
-    best: tuple[_Batch, int] | None = None
+    best = None  # (rows, signals, monitored, j) of the best candidate so far
     while best_fitness >= 0 and len(history) < cfg.budget:
         if current is None:  # a uniform-random batch, or annealing's start point
             m = min(max_rows, cfg.budget - len(history))
@@ -369,39 +355,42 @@ def falsify(
             noise = rng.normal(0.0, 1.0, size=lows.size) * cfg.sa.proposal_scale * spans
             params = np.clip(current + noise, lows, highs)[None]
         try:
-            batches = [_evaluate_batch(model, table, pi, params)]
+            batches = [(params, *_evaluate_batch(model, table, pi, params))]
         except Exception:
             # one candidate at a time, so that the error, or a test case
             # before it, surfaces where a sequential search meets it
-            batches = (_evaluate_batch(model, table, pi, p[None]) for p in params)
-        for batch in batches:
-            fitnesses = batch.monitored.fitness.tolist()
-            if min(fitnesses) < 0:  # keep the history up to the first test case
-                fitnesses = fitnesses[: next(j for j, f in enumerate(fitnesses) if f < 0) + 1]
-            history.extend(fitnesses)
-            j = fitnesses.index(min(fitnesses))  # min keeps the first of equal values
-            if best is None or fitnesses[j] < best_fitness:
-                best_fitness, best = fitnesses[j], (batch, j)
+            batches = ((p[None], *_evaluate_batch(model, table, pi, p[None])) for p in params)
+        for rows, signals, monitored in batches:
+            fitness = monitored.fitness
+            failing = np.flatnonzero(fitness < 0)
+            if failing.size:  # keep the history up to the first test case
+                fitness = fitness[: failing[0] + 1]
+            values = fitness.tolist()
+            history.extend(values)
+            j = int(fitness.argmin())  # argmin keeps the first of equal values
+            if best is None or values[j] < best_fitness:
+                best_fitness, best = values[j], (rows, signals, monitored, j)
             if best_fitness < 0:
                 break
         if annealing and current is None:  # the start point is taken as it is
-            current, current_fitness = params[0], fitnesses[0]
+            current, current_fitness = params[0], history[-1]
         elif annealing:
-            delta = _metropolis_delta(fitnesses[0], current_fitness)
+            delta = _metropolis_delta(history[-1], current_fitness)
             if rng.random() < acceptance_probability(delta, temperature):
-                current, current_fitness = params[0], fitnesses[0]
+                current, current_fitness = params[0], history[-1]
             temperature *= cfg.sa.cooling
 
     assert best is not None
-    batch, j = best
-    best_eval = batch.evaluation(j)
+    rows, signals, monitored, j = best
+    run = monitored.run(j)
+    trace = Trace(dt=pi.dt, samples={name: v[j] for name, v in signals.items()})
     verdict = "TC" if best_fitness < 0 else "NFF"
     return FalsificationResult(
         verdict=verdict,
-        best_params=batch.params[j].copy(),
+        best_params=rows[j].copy(),
         best_fitness=best_fitness,
         iterations=len(history),
-        violated=violated_requirements(best_eval.run),
+        violated=violated_requirements(run),
         history=history,
-        best_evaluation=best_eval,
+        best_evaluation=Evaluation(fitness=run.fitness, trace=trace, run=run),
     )

@@ -19,6 +19,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -178,23 +179,18 @@ class PlantDemoModel(SystemModel):
     INITIAL_PRESSURE = 87.0
     NOMINAL_FLOW = 4.0
     INTEGRATOR_LIMIT = 50.0
-
-    def reset(self) -> list[float]:
-        # pre-warm the integrator at the nominal operating point so the run
-        # starts near equilibrium instead of with a cold-start transient
-        cooling_eq = (2.0 * self.NOMINAL_FLOW - 0.05 * (self.SETPOINT - 80.0)) / 0.8
-        return [self.INITIAL_PRESSURE, cooling_eq / self.KI]
+    # the integrator is pre-warmed at the nominal operating point, so a run
+    # starts near equilibrium instead of with a cold-start transient
+    INITIAL_INTEGRAL = (2.0 * NOMINAL_FLOW - 0.05 * (SETPOINT - 80.0)) / 0.8 / KI
 
     def run_batch(self, inputs: Mapping[str, np.ndarray], dt: float) -> dict[str, np.ndarray]:
         # a loop over plain floats: per-sample numpy calls would cost more than the arithmetic
-        runs = [self._integrate(self.reset(), flows, dt) for flows in inputs["F_s"].tolist()]
+        runs = [self._integrate(flows, dt) for flows in inputs["F_s"].tolist()]
         return {"T_s": np.array([r[0] for r in runs]), "P_s": np.array([r[1] for r in runs])}
 
-    def _integrate(
-        self, state: list[float], flows: list[float], dt: float
-    ) -> tuple[list[float], list[float]]:
-        """Step through ``flows`` from ``state``; returns the T_s and P_s samples."""
-        pressure, integral = state
+    def _integrate(self, flows: list[float], dt: float) -> tuple[list[float], list[float]]:
+        """Step through ``flows`` from the initial state; returns the T_s and P_s samples."""
+        pressure, integral = self.INITIAL_PRESSURE, self.INITIAL_INTEGRAL
         setpoint, limit, kp, ki = self.SETPOINT, self.INTEGRATOR_LIMIT, self.KP, self.KI
         temperatures, pressures = [], []
         for flow in flows:
@@ -332,48 +328,23 @@ class ModelPreset:
     dt: float
 
 
-_OMM_BOUNDS = {"u1": (-100.0, 100.0), "u2": (-100.0, 100.0)}
+_OMM_CROSS_GAINS = (
+    ("omm-v0", 0.0, 0.0), ("omm-v1", 0.01, 0.0), ("omm-v2", 0.01, 0.01), ("omm-v3", 0.01, 0.1)
+)
 
 MODEL_PRESETS: dict[str, ModelPreset] = {
-    preset.name: preset
-    for preset in (
-        ModelPreset(
-            name="omm-v0",
-            factory=lambda: GainCrossModel(),
-            input_bounds=dict(_OMM_BOUNDS),
-            horizon=10.0,
-            dt=0.5,
-        ),
-        ModelPreset(
-            name="omm-v1",
-            factory=lambda: GainCrossModel(g12=0.01),
-            input_bounds=dict(_OMM_BOUNDS),
-            horizon=10.0,
-            dt=0.5,
-        ),
-        ModelPreset(
-            name="omm-v2",
-            factory=lambda: GainCrossModel(g12=0.01, g21=0.01),
-            input_bounds=dict(_OMM_BOUNDS),
-            horizon=10.0,
-            dt=0.5,
-        ),
-        ModelPreset(
-            name="omm-v3",
-            factory=lambda: GainCrossModel(g12=0.01, g21=0.1),
-            input_bounds=dict(_OMM_BOUNDS),
-            horizon=10.0,
-            dt=0.5,
-        ),
-        ModelPreset(
-            name="plant-demo",
-            factory=PlantDemoModel,
-            input_bounds={"F_s": (3.5, 4.5)},
-            horizon=35.0,
-            dt=0.01,
-        ),
+    name: ModelPreset(
+        name=name,
+        factory=partial(GainCrossModel, g12, g21),
+        input_bounds={"u1": (-100.0, 100.0), "u2": (-100.0, 100.0)},
+        horizon=10.0,
+        dt=0.5,
     )
+    for name, g12, g21 in _OMM_CROSS_GAINS
 }
+MODEL_PRESETS["plant-demo"] = ModelPreset(
+    "plant-demo", PlantDemoModel, input_bounds={"F_s": (3.5, 4.5)}, horizon=35.0, dt=0.01
+)
 
 
 def make_model(name: str) -> SystemModel:

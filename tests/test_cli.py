@@ -163,8 +163,16 @@ def test_monitor_repeated_column_is_runtime_error(tmp_path, capsys):
         (b"t,x\n0.0,1.0\n1.0," + b"1" * 200_000 + b"\n", ":3: field larger than field limit"),
         (b"t,x\n" + b"0.0,1.0\n" * 4000 + b"1.0,\xff\n", ": not valid UTF-8"),
         (b't,x\n0.0,"1.0\n"\n1.0,2.0,3.0\n', ":4: expected 2 columns"),
+        (b"", ": empty file"),
+        (b"t\n0.0\n1.0\n", ": no signal columns"),
     ],
-    ids=["oversized-field", "not-utf8", "ragged-row-after-a-quoted-newline"],
+    ids=[
+        "oversized-field",
+        "not-utf8",
+        "ragged-row-after-a-quoted-newline",
+        "empty-file",
+        "no-signal-columns",
+    ],
 )
 def test_monitor_unreadable_trace_is_one_runtime_error_line(tmp_path, capsys, data, message):
     table_path = tmp_path / "pos.rt"

@@ -328,6 +328,8 @@ def test_missing_trace_column_is_rejected(sc_table):
     trace = Trace(dt=1.0, samples={"F_s": np.zeros(3)})
     with pytest.raises(SignalMismatchError):
         run_monitor(automaton, trace)
+    with pytest.raises(TypeError, match="^run_monitor expects a Trace$"):
+        run_monitor(automaton, {"F_s": np.zeros(3)})
 
 
 def test_degree_csv_layout(tmp_path, sc_table):

@@ -336,6 +336,16 @@ def test_falsify_unsatisfiable_requirement_is_nff(omm_pi, omm_tables):
     assert result.violated == ()
 
 
+def test_equal_fitnesses_keep_the_first_candidate(omm_pi):
+    # u1 never exceeds 1000, so every candidate is vacuous and all five tie at +inf
+    table = parse_table("table T\ninputs u1, y1\nreq 1\n  pre u1 > 1000\n  post y1 > 0\n")
+    result = falsify(make_model("omm-v1"), table, omm_pi, SearchConfig(budget=5, seed=3))
+    assert (result.verdict, result.history) == ("NFF", [INF] * 5)
+    lows, highs = omm_pi.bounds
+    drawn = lows + (highs - lows) * np.random.default_rng(3).random((5, lows.size))
+    assert result.best_params.tolist() == drawn[0].tolist()
+
+
 def test_falsify_budget_one_with_lucky_seed(omm_pi, omm_tables):
     # seed 11's very first sample violates, so the search stops immediately
     cfg = SearchConfig(algorithm="uniform-random", budget=1, seed=11)
@@ -395,6 +405,9 @@ def test_config_validation():
         SearchConfig(algorithm="hill-climbing")
     with pytest.raises(ValueError):
         SearchConfig(seed=-1)
+    for temperature in (0.0, math.nan):
+        with pytest.raises(ValueError, match="^initial temperature must be > 0$"):
+            SAConfig(initial_temperature=temperature)
     with pytest.raises(ValueError):
         SAConfig(cooling=1.0)
     with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from rtfalsify.sim import (
     GainCrossModel,
     ModelPreset,
     NonFiniteOutputError,
-    PlantDemoModel,
     SignalMismatchError,
     SystemModel,
     Trace,
@@ -31,6 +30,11 @@ def test_trace_shape_checks():
         Trace(dt=0.0, samples={"x": np.zeros(3)})
     with pytest.raises(ValueError):
         Trace(dt=1.0, samples={"x": np.zeros(3), "y": np.zeros(4)})
+    with pytest.raises(ValueError, match="at least one signal"):
+        Trace(dt=1.0, samples={})
+    for values in (np.zeros((2, 3)), np.zeros(0)):
+        with pytest.raises(ValueError, match="signal 'x' must be a non-empty 1-d array"):
+            Trace(dt=1.0, samples={"x": values})
     trace = Trace(dt=0.5, samples={"x": [0.0, 1.0, 2.0]})
     assert trace.n_samples == 3
     assert trace.times.tolist() == [0.0, 0.5, 1.0]
@@ -54,6 +58,9 @@ def test_cross_gain_saturates_at_floor():
 def test_non_finite_sample_count_names_horizon_and_dt():
     with pytest.raises(ValueError, match=r"horizon / dt .*horizon=1e\+300, dt=1e-300"):
         n_samples_for(1e300, 1e-300)
+    for horizon, dt in ((-1.0, 0.5), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="need horizon >= 0 and dt > 0"):
+            n_samples_for(horizon, dt)
 
 
 def test_zero_horizon_gives_single_sample():
@@ -183,11 +190,6 @@ def test_cross_gain_clamp_is_min_of_max(clamp):
     y2 = [min(max(1.0 * b + 0.5 * a, lo), hi) for a, b in pairs]
     assert same_bits(out["y1"].ravel(), y1)
     assert same_bits(out["y2"].ravel(), y2)
-
-
-def test_plant_demo_reset_is_reproducible():
-    model = PlantDemoModel()
-    assert model.reset() == model.reset()
 
 
 def test_trace_csv_round_trip(tmp_path):
