@@ -90,7 +90,8 @@ def n_samples_for(horizon: float, dt: float) -> int:
     steps = horizon / dt
     if not math.isfinite(steps):
         raise ValueError(f"horizon / dt is not finite (horizon={horizon!r}, dt={dt!r})")
-    return int(math.floor(steps)) + 1
+    # 0.3 / 0.1 is 2.9999999999999996: an integer within read_trace_csv's tolerance is reached
+    return int(math.floor(steps + 1e-9 * max(1.0, steps))) + 1
 
 
 class SystemModel:
@@ -184,15 +185,20 @@ class PlantDemoModel(SystemModel):
     INITIAL_INTEGRAL = (2.0 * NOMINAL_FLOW - 0.05 * (SETPOINT - 80.0)) / 0.8 / KI
 
     def run_batch(self, inputs: Mapping[str, np.ndarray], dt: float) -> dict[str, np.ndarray]:
-        # a loop over plain floats: per-sample numpy calls would cost more than the arithmetic
-        runs = [self._integrate(flows, dt) for flows in inputs["F_s"].tolist()]
-        return {"T_s": np.array([r[0] for r in runs]), "P_s": np.array([r[1] for r in runs])}
+        # a loop over plain floats: per-sample numpy calls would cost more than the arithmetic;
+        # array("d") holds them as raw doubles, 8 bytes a sample where a list of floats takes 32
+        rows = np.asarray(inputs["F_s"], dtype=float)
+        runs = [self._integrate(array("d", flows.tobytes()), dt) for flows in rows]
+        return {
+            name: np.array([np.frombuffer(r[j]) for r in runs])
+            for j, name in enumerate(self.outputs)
+        }
 
-    def _integrate(self, flows: list[float], dt: float) -> tuple[list[float], list[float]]:
+    def _integrate(self, flows: array, dt: float) -> tuple[array, array]:
         """Step through ``flows`` from the initial state; returns the T_s and P_s samples."""
         pressure, integral = self.INITIAL_PRESSURE, self.INITIAL_INTEGRAL
         setpoint, limit, kp, ki = self.SETPOINT, self.INTEGRATOR_LIMIT, self.KP, self.KI
-        temperatures, pressures = [], []
+        temperatures, pressures = array("d"), array("d")
         for flow in flows:
             temperatures.append(35.0 + 0.5 * pressure + 0.2 * flow)
             pressures.append(pressure)
@@ -247,13 +253,17 @@ def write_trace_csv(trace: Trace, path: str) -> None:
     write_csv(path, ["t", *trace.signals], [trace.times, *trace.samples.values()])
 
 
+WRITE_BLOCK_ROWS = 4096  # rows turned into Python floats at a time, 32 bytes a value
+
+
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     """Write a header and float columns row by row, as csv.writer does for floats."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        # Python floats, since numpy 2's repr of one is "np.float64(...)"; none needs quoting
-        rows = zip(*(map(repr, c.tolist()) for c in columns))
-        fh.writelines(",".join(row) + "\r\n" for row in rows)
+        for i in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
+            # Python floats, since numpy 2's repr of one is "np.float64(...)"; none needs quoting
+            block = (map(repr, c[i : i + WRITE_BLOCK_ROWS].tolist()) for c in columns)
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*block))
 
 
 def read_trace_csv(path: str) -> Trace:
@@ -303,10 +313,16 @@ def read_trace_csv(path: str) -> Trace:
     if len(data) < 2:
         raise TraceFormatError(f"{path}: need at least two samples to infer dt")
     times = data[:, 0]
-    steps = np.diff(times)
-    dt = float(steps[0])
+    if not np.isfinite(times).all():
+        raise TraceFormatError(f"{path}: time column holds a non-finite value")
+    # finite times can still overflow a step (-1.5e308 then 1.5e308); the inf or NaN
+    # that gives fails the spacing check, so numpy need not warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(times)
+        dt = float(steps[0])
+        steps -= dt  # in place: a long replay's temporaries would set the reader's peak
     tolerance = 1e-9 * max(dt, 1.0)
-    if dt <= 0 or not np.allclose(steps, dt, rtol=0, atol=tolerance):
+    if dt <= 0 or not (np.abs(steps, out=steps).max() <= tolerance):  # NaN fails too
         raise TraceFormatError(f"{path}: time column is not uniformly spaced")
     # the monitor rebuilds times as k * dt, so a shifted column would move every t guard
     if abs(times[0]) > tolerance:

@@ -165,6 +165,11 @@ def test_monitor_repeated_column_is_runtime_error(tmp_path, capsys):
         (b't,x\n0.0,"1.0\n"\n1.0,2.0,3.0\n', ":4: expected 2 columns"),
         (b"", ": empty file"),
         (b"t\n0.0\n1.0\n", ": no signal columns"),
+        (b"t,x\n0,1\ninf,2\n", ": time column holds a non-finite value"),
+        (b"t,x\n0,1\n-inf,2\n", ": time column holds a non-finite value"),
+        (b"t,x\n0,1\nnan,2\n", ": time column holds a non-finite value"),
+        (b"t,x\n-1.5e308,1\n1.5e308,2\n", ": time column is not uniformly spaced"),
+        (b"t,x\n0,1\n1.5e308,2\n-1.5e308,3\n", ": time column is not uniformly spaced"),
     ],
     ids=[
         "oversized-field",
@@ -172,6 +177,11 @@ def test_monitor_repeated_column_is_runtime_error(tmp_path, capsys):
         "ragged-row-after-a-quoted-newline",
         "empty-file",
         "no-signal-columns",
+        "inf-time",
+        "minus-inf-time",
+        "nan-time",
+        "overflowing-first-step",
+        "overflowing-later-step",
     ],
 )
 def test_monitor_unreadable_trace_is_one_runtime_error_line(tmp_path, capsys, data, message):
@@ -231,6 +241,19 @@ def test_falsify_tc_exit_and_artifacts(tmp_path, capsys):
     assert len(payload["fitness_history"]) == payload["iterations"]
     assert (out / "testcase_trace.csv").exists()
     assert (out / "testcase_degrees.csv").exists()
+
+
+def test_falsify_test_case_replays_to_the_same_degrees(tmp_path, capsys):
+    # 5,001 rows, so both files cross a write block
+    out = tmp_path / "run"
+    args = ("--model", "plant-demo", "--table", "sc", "--budget", "20", "--seed", "0")
+    assert run_cli("falsify", *args, "--horizon", "50", "--out", str(out)) == 0
+    assert json.loads((out / "result.json").read_text())["iterations"] == 6
+    replay = tmp_path / "replay"
+    assert run_cli("monitor", "sc", str(out / "testcase_trace.csv"), "--out", str(replay)) == 0
+    degrees = (out / "testcase_degrees.csv").read_bytes()
+    assert degrees.count(b"\n") == 5_002
+    assert (replay / "degrees.csv").read_bytes() == degrees
 
 
 def test_falsify_nff_exit(tmp_path):

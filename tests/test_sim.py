@@ -1,13 +1,16 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rtfalsify.sim import (
     MODEL_PRESETS,
+    WRITE_BLOCK_ROWS,
     GainCrossModel,
     ModelPreset,
     NonFiniteOutputError,
+    PlantDemoModel,
     SignalMismatchError,
     SystemModel,
     Trace,
@@ -16,6 +19,7 @@ from rtfalsify.sim import (
     n_samples_for,
     read_trace_csv,
     simulate,
+    write_csv,
     write_trace_csv,
 )
 from oracle import same_bits
@@ -61,6 +65,23 @@ def test_non_finite_sample_count_names_horizon_and_dt():
     for horizon, dt in ((-1.0, 0.5), (1.0, 0.0)):
         with pytest.raises(ValueError, match="need horizon >= 0 and dt > 0"):
             n_samples_for(horizon, dt)
+
+
+@pytest.mark.parametrize(
+    "horizon, dt, n",
+    [
+        (0.3, 0.1, 4),  # 0.3 / 0.1 is 2.9999999999999996
+        (0.7, 0.1, 8),
+        (2.3, 0.1, 24),
+        (3.0, 0.7, 5),
+        (0.1, 0.5, 1),
+        (10.0, 0.5, 21),
+        (35.0, 0.01, 3501),
+        (350.0, 0.01, 35001),
+    ],
+)
+def test_sample_count_reaches_a_horizon_just_below_a_whole_step(horizon, dt, n):
+    assert n_samples_for(horizon, dt) == n
 
 
 def test_zero_horizon_gives_single_sample():
@@ -134,6 +155,23 @@ def test_plant_demo_is_bounded_and_deterministic():
         assert np.array_equal(out1.samples[sig], out2.samples[sig])
 
 
+def traced_peak(fn, *args):
+    """The peak of memory traced while ``fn(*args)`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_plant_demo_holds_samples_as_raw_doubles():
+    # a list of Python floats costs 32 bytes a sample; the outputs alone take 16
+    n = 200_000
+    flows = np.random.default_rng(5).uniform(3.5, 4.5, size=(1, n))
+    assert traced_peak(PlantDemoModel().run_batch, {"F_s": flows}, 0.01) < 48 * n
+
+
 # the omm saturation bounds
 CLAMP = (GainCrossModel.FLOOR, GainCrossModel.CEILING)
 
@@ -203,6 +241,37 @@ def test_trace_csv_round_trip(tmp_path):
     assert back.signals == trace.signals
     for sig in trace.signals:
         assert np.array_equal(back.samples[sig], trace.samples[sig])
+
+
+def test_write_csv_matches_a_row_by_row_reference_across_blocks(tmp_path):
+    n = 2 * WRITE_BLOCK_ROWS + 3
+    rng = np.random.default_rng(9)
+    columns = [np.arange(n) * 0.01, rng.standard_normal(n), rng.standard_normal(n)]
+    edges = (-0.0, np.inf, -np.inf, np.nan, 5e-324)
+    for j, value in enumerate(edges):  # on both sides of the first block boundary
+        columns[1 + j % 2][WRITE_BLOCK_ROWS - 1 + j // 2] = value
+        columns[2 - j % 2][WRITE_BLOCK_ROWS + j // 2] = value
+    path = tmp_path / "blocks.csv"
+    write_csv(str(path), ["t", "a", "b"], columns)
+    rows = (",".join(repr(float(c[k])) for c in columns) for k in range(n))
+    assert path.read_bytes() == "".join(f"{row}\r\n" for row in ["t,a,b", *rows]).encode()
+
+
+def test_write_csv_converts_a_block_of_rows_at_a_time(tmp_path):
+    n = 200_000
+    columns = [np.arange(n) * 0.01, *np.random.default_rng(2).standard_normal((4, n))]
+    path = str(tmp_path / "long.csv")
+    assert traced_peak(write_csv, path, ["t", "a", "b", "c", "d"], columns) < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "body", ["0.0,1.0\ninf,2.0\n", "0.0,1.0\n-inf,2.0\n", "0.0,1.0\nnan,2.0\n", "nan,1.0\n1.0,2.0\n"]
+)
+def test_trace_csv_rejects_a_non_finite_time(tmp_path, body):
+    path = tmp_path / "times.csv"
+    path.write_text("t,x\n" + body)
+    with pytest.raises(TraceFormatError, match="time column holds a non-finite value$"):
+        read_trace_csv(str(path))
 
 
 def test_trace_csv_rejects_ragged_and_nonuniform(tmp_path):
