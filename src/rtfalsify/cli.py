@@ -73,44 +73,31 @@ falsify = _layer_function("search", "falsify")
 read_trace_csv = _layer_function("sim", "read_trace_csv")
 write_trace_csv = _layer_function("sim", "write_trace_csv")
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
+
+def _number(convert, accepts, requirement: str):
+    """An argparse type: ``convert(text)`` if ``accepts`` takes it, else ``requirement``.
+
+    ``requirement`` may quote the argument as ``{!r}``; NaN fails every bound.
+    """
+    noun = "a whole number" if convert is int else "a number"
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}")
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(requirement.format(text))
         return value
 
     return parse
 
 
-def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-
-
-def _positive_float(text: str) -> float:
-    value = _float(text)
-    if not (0 < value < math.inf):
-        raise argparse.ArgumentTypeError("must be finite and > 0")
-    return value
-
-
-def _fraction(*, one_allowed: bool):
-    """A number in (0, 1), or in (0, 1] when ``one_allowed``; NaN is never inside."""
-    interval = "(0, 1]" if one_allowed else "(0, 1)"
-
-    def parse(text: str) -> float:
-        value = _float(text)
-        if not (0 < value < 1 or (one_allowed and value == 1)):
-            raise argparse.ArgumentTypeError(f"must be in {interval}, got {text!r}")
-        return value
-
-    return parse
+_COUNT = _number(int, lambda n: n >= 1, "must be >= 1")
+_SEED = _number(int, lambda n: n >= 0, "must be >= 0")
+_POSITIVE = _number(float, lambda x: 0 < x < math.inf, "must be finite and > 0")
+_COOLING = _number(float, lambda x: 0 < x < 1, "must be in (0, 1), got {!r}")
+_SCALE = _number(float, lambda x: 0 < x <= 1, "must be in (0, 1], got {!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,10 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="ur",
         help="search algorithm: ur = uniform random, sa = simulated annealing",
     )
-    p_falsify.add_argument("--budget", type=_int_at_least(1), default=1500, help="max iterations")
-    p_falsify.add_argument("--seed", type=_int_at_least(0), default=0, help="random seed")
+    p_falsify.add_argument("--budget", type=_COUNT, default=1500, help="max iterations")
+    p_falsify.add_argument("--seed", type=_SEED, default=0, help="random seed")
     p_falsify.add_argument(
-        "--runs", type=_int_at_least(1), default=1, help="repeat with seeds seed, seed+1, ..."
+        "--runs", type=_COUNT, default=1, help="repeat with seeds seed, seed+1, ..."
     )
     p_falsify.add_argument("--out", default="out", help="output directory (default out)")
     p_falsify.add_argument(
@@ -159,11 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME:LO:HI[:K]",
         help="override one input's bounds and discontinuity count (default K=1)",
     )
-    p_falsify.add_argument("--horizon", type=_positive_float, help="trace horizon in seconds")
-    p_falsify.add_argument("--dt", type=_positive_float, help="trace step size in seconds")
-    p_falsify.add_argument("--sa-temp", type=_positive_float, default=1.0)
-    p_falsify.add_argument("--sa-cooling", type=_fraction(one_allowed=False), default=0.97)
-    p_falsify.add_argument("--sa-scale", type=_fraction(one_allowed=True), default=0.1)
+    p_falsify.add_argument("--horizon", type=_POSITIVE, help="trace horizon in seconds")
+    p_falsify.add_argument("--dt", type=_POSITIVE, help="trace step size in seconds")
+    p_falsify.add_argument("--sa-temp", type=_POSITIVE, default=1.0)
+    p_falsify.add_argument("--sa-cooling", type=_COOLING, default=0.97)
+    p_falsify.add_argument("--sa-scale", type=_SCALE, default=0.1)
     return parser
 
 
@@ -176,17 +163,8 @@ def _load_table_arg(ref: str) -> RequirementsTable:
         raise FileNotFoundError(f"table '{ref}' is neither a file nor a bundled table") from None
 
 
-def _print_diagnostics(exc: TableValidationError) -> None:
-    for diag in exc.diagnostics:
-        print(str(diag), file=sys.stderr)
-
-
 def format_fitness(x: float) -> str:
-    if x == math.inf:
-        return "+inf"
-    if x == -math.inf:
-        return "-inf"
-    return repr(x)
+    return "+inf" if x == math.inf else repr(x)  # repr(-inf) is already '-inf'
 
 
 def _json_value(x: float):
@@ -218,12 +196,9 @@ def _parse_input_override(spec: str) -> SignalShape:
     from .search import SignalShape
 
     parts = spec.split(":")
-    if len(parts) not in (3, 4):
-        raise argparse.ArgumentTypeError(f"--input expects NAME:LO:HI[:K], got {spec!r}")
-    name = parts[0]
-    try:
-        lower, upper = float(parts[1]), float(parts[2])
-        k = int(parts[3]) if len(parts) == 4 else 1
+    try:  # a wrong number of parts fails the unpacking
+        name, lower, upper, k = parts if len(parts) == 4 else (*parts, "1")
+        lower, upper, k = float(lower), float(upper), int(k)
     except ValueError:
         raise argparse.ArgumentTypeError(f"--input expects NAME:LO:HI[:K], got {spec!r}") from None
     return SignalShape(name=name, lower=lower, upper=upper, discontinuities=k)
@@ -245,12 +220,16 @@ def _build_run_setup(args: argparse.Namespace) -> tuple[ParameterizedInput, Sear
         name: SignalShape(name=name, lower=lo, upper=hi)
         for name, (lo, hi) in preset.input_bounds.items()
     }
+    overridden = set()
     for spec in args.input:
         shape = _parse_input_override(spec)
         if shape.name not in shapes:
             raise argparse.ArgumentTypeError(
                 f"--input names unknown signal '{shape.name}' (model has {', '.join(shapes)})"
             )
+        if shape.name in overridden:
+            raise argparse.ArgumentTypeError(f"--input names signal '{shape.name}' twice")
+        overridden.add(shape.name)
         shapes[shape.name] = shape
     horizon = args.horizon if args.horizon is not None else preset.horizon
     dt = args.dt if args.dt is not None else preset.dt
@@ -313,9 +292,15 @@ def _result_payload(result: FalsificationResult, pi: ParameterizedInput, seed: i
 _SUMMARY_KEYS = ("seed", "verdict", "iterations", "best_fitness", "violated_requirements")
 
 
-def cmd_falsify(args: argparse.Namespace) -> int:
+def _write_json(path: str, payload: dict) -> None:
     import json
 
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
+def cmd_falsify(args: argparse.Namespace) -> int:
     from .search import _check_signals
     from .sim import make_model
 
@@ -335,9 +320,7 @@ def cmd_falsify(args: argparse.Namespace) -> int:
         suffix = f"_{i + 1}" if args.runs > 1 else ""
         result_file = f"result{suffix}.json"
         payload = _result_payload(result, pi, seed, echo)
-        with open(os.path.join(args.out, result_file), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        _write_json(os.path.join(args.out, result_file), payload)
         if result.failure_found:
             trace_path = os.path.join(args.out, f"testcase_trace{suffix}.csv")
             degrees_path = os.path.join(args.out, f"testcase_degrees{suffix}.csv")
@@ -356,18 +339,8 @@ def cmd_falsify(args: argparse.Namespace) -> int:
 
     if args.runs > 1:
         summary_path = os.path.join(args.out, "summary.json")
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "config": echo,
-                    "tc_count": sum(1 for s in summaries if s["verdict"] == "TC"),
-                    "runs": summaries,
-                },
-                fh,
-                indent=2,
-                allow_nan=False,
-            )
-            fh.write("\n")
+        tc_count = sum(1 for s in summaries if s["verdict"] == "TC")
+        _write_json(summary_path, {"config": echo, "tc_count": tc_count, "runs": summaries})
         print(f"summary written to {summary_path}")
 
     return EXIT_TC if any_tc else EXIT_NFF
@@ -391,7 +364,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
     except TableValidationError as exc:
-        _print_diagnostics(exc)
+        for diag in exc.diagnostics:
+            print(diag, file=sys.stderr)
         return EXIT_INVALID
     except (argparse.ArgumentTypeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

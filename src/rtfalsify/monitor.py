@@ -364,10 +364,8 @@ class _Engine:
     def _guard(self, i: int, req: Requirement, env: ArrayEnv) -> np.ndarray:
         if req.precondition is None:  # an absent precondition always holds
             return np.ones(self.shape, dtype=bool)
-        env.zero_division = False
-        holds = _broadcast(holds_array(req.precondition, env), self.shape)
-        self._note_division(env, (0, i))
-        return holds
+        holds = self._evaluate(holds_array, req.precondition, env, True, (0, i))
+        return _broadcast(holds, self.shape)
 
     def _actions(self, env: ArrayEnv, live: list[np.ndarray]) -> dict[str, np.ndarray]:
         """Every output's value: the last active action's, checked for conflicts and gaps."""
@@ -376,9 +374,8 @@ class _Engine:
         assigned = {name: np.zeros(shape, dtype=bool) for name in self.table.outputs}
         for i, req in enumerate(self.table.requirements):
             for a, action in enumerate(req.actions):
-                env.zero_division = False
-                value = _broadcast(arith_array(action.value, env, live[i]), shape)
-                self._note_division(env, (1, i, a, 0))
+                value = self._evaluate(arith_array, action.value, env, live[i], (1, i, a, 0))
+                value = _broadcast(value, shape)
                 target, current = action.target, values[action.target]
                 conflict = live[i] & assigned[target] & (current != value)
                 if np.count_nonzero(conflict):
@@ -397,9 +394,7 @@ class _Engine:
         """The requirement's degrees where ``live``, +inf elsewhere."""
         if req.postcondition is None:
             return INF
-        env.zero_division = False
-        degree = degree_array(req.postcondition, env, live)
-        self._note_division(env, (3, i, 0))
+        degree = self._evaluate(degree_array, req.postcondition, env, live, (3, i, 0))
         return np.where(live, degree, INF)
 
     def _note_undefined(self, i: int, req, degrees: np.ndarray) -> None:
@@ -409,11 +404,15 @@ class _Engine:
                 (undefined, (3, i, 1), lambda c, k, t, idx=req.index: UndefinedDegreeError(idx, t))
             )
 
-    def _note_division(self, env: ArrayEnv, key: tuple) -> None:
+    def _evaluate(self, evaluator, expr, env: ArrayEnv, live, key: tuple):
+        """``evaluator(expr, env, live)``, noting under ``key`` where it divided by zero."""
+        env.zero_division = False
+        value = evaluator(expr, env, live)
         # stays the plain False it was reset to unless a `/` was evaluated
         if env.zero_division is not False and np.count_nonzero(env.zero_division):
             mask = np.broadcast_to(env.zero_division, (self.shape[0], env.t.shape[1]))
             self.errors.append((mask, key, lambda c, k, t: DivisionByZeroError()))
+        return value
 
     def _raise_first(self) -> None:
         """Raise the error of the earliest step, ties broken in step-by-step order."""

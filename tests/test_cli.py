@@ -16,7 +16,7 @@ def run_cli(*argv):
 
 @pytest.fixture()
 def sc_path(tmp_path, sc_table):
-    from rtfalsify.table import format_table
+    from printer import format_table
 
     path = tmp_path / "sc.rt"
     path.write_text(format_table(sc_table))
@@ -423,11 +423,32 @@ def test_falsify_sample_count_out_of_memory_is_usage_error(tmp_path, capsys, mon
         ("--input", "z:0:1", "--input names unknown signal 'z' (model has u1, u2)"),
         ("--input", "u1:5:1", "'u1': lower bound exceeds upper bound"),
         ("--input", "u1:0:1:-1", "'u1': discontinuity count must be >= 0"),
+        ("--budget", "0", "argument --budget: must be >= 1"),
+        ("--runs", "0", "argument --runs: must be >= 1"),
+        ("--seed", "-1", "argument --seed: must be >= 0"),
+        ("--horizon", "0", "argument --horizon: must be finite and > 0"),
+        ("--dt", "-1", "argument --dt: must be finite and > 0"),
+        ("--sa-temp", "0", "argument --sa-temp: must be finite and > 0"),
+        ("--sa-temp", "nan", "argument --sa-temp: must be finite and > 0"),
+        ("--sa-temp", "inf", "argument --sa-temp: must be finite and > 0"),
     ],
 )
 def test_falsify_malformed_number_is_usage_error(capsys, option, value, message):
     assert run_cli("falsify", "--model", "omm-v1", "--table", "omm-rt0", option, value) == 2
     assert assert_one_usage_line(capsys.readouterr().err) == f"usage error: {message}\n"
+
+
+def test_falsify_input_naming_a_signal_twice_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run_cli(
+        "falsify", "--model", "omm-v1", "--table", "omm-rt0", "--budget", "5",
+        "--input", "u1:0:1", "--input", "u1:-5:5", "--out", str(out),
+    )
+    assert code == 2
+    assert assert_one_usage_line(capsys.readouterr().err) == (
+        "usage error: --input names signal 'u1' twice\n"
+    )
+    assert not out.exists()  # rejected before any search or output file
 
 
 def test_falsify_negative_seed_is_usage_error(tmp_path, capsys):

@@ -210,6 +210,21 @@ def test_tie_degree_is_the_smallest_float_with_the_relations_truth(op, x, y):
         assert same_bits(lhs, _tie_degrees(Or(Not(atom), Not(other)), x, y))
 
 
+def test_tie_degree_survives_the_engines_float_operations():
+    """A library that turns on flush-to-zero (FTZ/DAZ) would make every tie degree 0.
+
+    A zero degree has no sign, so ties would silently stop being test cases;
+    this fails in that process instead.
+    """
+    ties = np.array([[-TINY, TINY]])
+    assert (ties < 0).tolist() == [[True, False]]
+    assert np.minimum(ties, np.inf).tolist() == [[-TINY, TINY]]
+    assert np.maximum(ties, -np.inf).tolist() == [[-TINY, TINY]]
+    assert np.minimum.reduce(ties, axis=1, initial=np.inf).tolist() == [-TINY]
+    assert (-ties).tolist() == [[TINY, -TINY]]
+    assert (-ties < 0).tolist() == [[False, True]]
+
+
 # --- array evaluation against the scalar reference ----------------------------
 
 # exact zeros of both signs and repeated values make ties, equal operands and

@@ -13,15 +13,13 @@ from rtfalsify.table import (
     RequirementsTable,
     TableSyntaxError,
     TableValidationError,
-    format_arith_expr,
-    format_bool_expr,
-    format_table,
     parse_arith_expr,
     parse_bool_expr,
     parse_table,
     validate,
 )
 from oracle import random_table
+from printer import format_arith_expr, format_bool_expr, format_table
 
 A, B, ZERO = SignalRef("a"), SignalRef("b"), Const(0.0)
 NEG_X = BinaryArith("-", ZERO, SignalRef("x"))
@@ -232,6 +230,32 @@ def test_comments_and_blank_lines_ignored():
     table = parse_table("# heading\ntable T # trailing\n\ninputs x\nreq 1\n  post x > 0 # ok\n")
     assert table.name == "T"
     assert len(table.requirements) == 1
+
+
+# what str.splitlines() also splits at; editors, Python and csv keep each in its line
+_NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize(
+    "char", _NOT_LINE_BREAKS, ids=[f"U+{ord(c):04X}" for c in _NOT_LINE_BREAKS]
+)
+def test_only_cr_and_lf_end_a_line(char):
+    text = f"table T\ninputs x\n# note{char}still a comment\nreq 1\n  post x >{char}0\n"
+    table = parse_table(text)
+    assert table.requirements[0].postcondition == Rel(">", SignalRef("x"), Const(0.0))
+    with pytest.raises(TableSyntaxError, match="unknown keyword 'bogus'") as err:
+        parse_table(f"table T  # a{char}b\ninputs x\nbogus\n")
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_lines_end_at_lf_crlf_and_cr(newline):
+    with pytest.raises(TableSyntaxError, match="unknown keyword 'bogus'") as err:
+        parse_table(newline.join(["table T", "inputs x", "bogus", ""]))
+    assert err.value.line == 3
+    with pytest.raises(TableSyntaxError, match="must start with 'table") as err:
+        parse_table(newline.join(["# only a comment", "", ""]))
+    assert err.value.line == 3  # the end of the file is on the line after the last break
 
 
 # --- requirement rows --------------------------------------------------------
