@@ -74,6 +74,13 @@ read_trace_csv = _layer_function("sim", "read_trace_csv")
 write_trace_csv = _layer_function("sim", "write_trace_csv")
 
 
+def _ascii(convert, text: str):
+    """``convert(text)``, but ValueError for non-ASCII digits and ``_``, as in ``.rt`` cells."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return convert(text)
+
+
 def _number(convert, accepts, requirement: str):
     """An argparse type: ``convert(text)`` if ``accepts`` takes it, else ``requirement``.
 
@@ -83,7 +90,7 @@ def _number(convert, accepts, requirement: str):
 
     def parse(text: str):
         try:
-            value = convert(text)
+            value = _ascii(convert, text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
         if not accepts(value):
@@ -198,7 +205,7 @@ def _parse_input_override(spec: str) -> SignalShape:
     parts = spec.split(":")
     try:  # a wrong number of parts fails the unpacking
         name, lower, upper, k = parts if len(parts) == 4 else (*parts, "1")
-        lower, upper, k = float(lower), float(upper), int(k)
+        lower, upper, k = _ascii(float, lower), _ascii(float, upper), _ascii(int, k)
     except ValueError:
         raise argparse.ArgumentTypeError(f"--input expects NAME:LO:HI[:K], got {spec!r}") from None
     return SignalShape(name=name, lower=lower, upper=upper, discontinuities=k)

@@ -8,7 +8,7 @@ distance to the satisfaction boundary. Conjunction maps to min,
 disjunction to max, negation flips the sign.
 
 A degree is never zero: a relational atom with equal operands scores
-``TIE_DEGREE[op]``, ±5e-324 signed by the relation's truth. No real margin
+``RELATIONS[op].tie``, ±5e-324 signed by the relation's truth. No real margin
 is smaller, so degrees keep the order of their margins.
 
 Degrees are plain floats on the extended real line: ``math.inf`` is the
@@ -16,15 +16,17 @@ degree of an inactive requirement and the identity of min-aggregation.
 
 The scalar functions are the reference semantics. The monitor evaluates
 with their array counterparts in ``rtfalsify.monitor``, which compute the
-same floats over many samples at once. This module imports no numpy, so
+same floats over many samples at once; both read what each operator means
+from ``RELATIONS`` and ``ARITHMETIC``. This module imports no numpy, so
 the table parser, and with it ``rtfalsify check``, runs without it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 
 class RunError(Exception):
@@ -112,11 +114,26 @@ class Not:
 
 BoolExpr = Union[Rel, And, Or, Not]
 
-REL_OPS = (">", "<", ">=", "<=", "==", "!=")
+
+class Relation(NamedTuple):
+    holds: Callable  # the classical truth of ``a op b``
+    margin: Callable  # the signed distance of ``a`` and ``b`` to the boundary
+    tie: float  # the degree of a zero margin, signed by the relation's truth at a tie
+
 
 _TINY = math.ulp(0.0)  # 5e-324, the smallest subnormal
-# a zero margin's degree, signed by the relation's truth at a tie
-TIE_DEGREE = {">": -_TINY, "<": -_TINY, "!=": -_TINY, ">=": _TINY, "<=": _TINY, "==": _TINY}
+
+RELATIONS = {
+    ">": Relation(operator.gt, operator.sub, -_TINY),
+    "<": Relation(operator.lt, lambda a, b: b - a, -_TINY),
+    ">=": Relation(operator.ge, operator.sub, _TINY),
+    "<=": Relation(operator.le, lambda a, b: b - a, _TINY),
+    "==": Relation(operator.eq, lambda a, b: -abs(a - b), _TINY),
+    "!=": Relation(operator.ne, lambda a, b: abs(a - b), -_TINY),
+}
+REL_OPS = tuple(RELATIONS)
+# "/" by zero is an error that each evaluator handles before dividing
+ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 @dataclass(frozen=True)
@@ -150,20 +167,12 @@ def eval_arith(e: ArithExpr, env: Env) -> float:
                 return env.prev[name]
             except KeyError:
                 raise UnboundNameError(name, "previous-step signal") from None
-        case BinaryArith(op, lhs, rhs):
+        case BinaryArith(op, lhs, rhs) if op in ARITHMETIC:
             a = eval_arith(lhs, env)
             b = eval_arith(rhs, env)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if b == 0.0:
-                    raise DivisionByZeroError()
-                return a / b
-            raise ValueError(f"unknown arithmetic operator {op!r}")
+            if op == "/" and b == 0.0:
+                raise DivisionByZeroError()
+            return ARITHMETIC[op](a, b)
     raise TypeError(f"not an arithmetic expression: {e!r}")
 
 
@@ -174,22 +183,8 @@ def eval_bool(e: BoolExpr, env: Env) -> bool:
     agree with in sign, and the one the brute-force test oracle uses.
     """
     match e:
-        case Rel(op, lhs, rhs):
-            a = eval_arith(lhs, env)
-            b = eval_arith(rhs, env)
-            if op == ">":
-                return a > b
-            if op == "<":
-                return a < b
-            if op == ">=":
-                return a >= b
-            if op == "<=":
-                return a <= b
-            if op == "==":
-                return a == b
-            if op == "!=":
-                return a != b
-            raise ValueError(f"unknown relational operator {op!r}")
+        case Rel(op, lhs, rhs) if op in RELATIONS:
+            return RELATIONS[op].holds(eval_arith(lhs, env), eval_arith(rhs, env))
         case And(lhs, rhs):
             return eval_bool(lhs, env) and eval_bool(rhs, env)
         case Or(lhs, rhs):
@@ -205,24 +200,14 @@ def degree(e: BoolExpr, env: Env) -> float:
     Relational atoms become signed margins (``a > b`` and ``a >= b`` both
     give ``a - b``, the mirrored forms give ``b - a``, equality gives
     ``-|a - b|`` and inequality ``|a - b|``, and a zero margin gives
-    ``TIE_DEGREE[op]``); ``&`` becomes min, ``|`` becomes max, ``~`` negates.
+    ``RELATIONS[op].tie``); ``&`` becomes min, ``|`` becomes max, ``~`` negates.
     A degree that is not NaN is negative exactly when ``eval_bool`` is false.
     """
     match e:
-        case Rel(op, lhs, rhs):
-            a = eval_arith(lhs, env)
-            b = eval_arith(rhs, env)
-            if op in (">", ">="):
-                d = a - b
-            elif op in ("<", "<="):
-                d = b - a
-            elif op == "==":
-                d = -abs(a - b)
-            elif op == "!=":
-                d = abs(a - b)
-            else:
-                raise ValueError(f"unknown relational operator {op!r}")
-            return TIE_DEGREE[op] if d == 0 else d
+        case Rel(op, lhs, rhs) if op in RELATIONS:
+            relation = RELATIONS[op]
+            d = relation.margin(eval_arith(lhs, env), eval_arith(rhs, env))
+            return relation.tie if d == 0 else d
         case And(lhs, rhs):
             return min(degree(lhs, env), degree(rhs, env))
         case Or(lhs, rhs):
@@ -248,17 +233,6 @@ def iter_nodes(e: Union[ArithExpr, BoolExpr]) -> Iterator[Union[ArithExpr, BoolE
         node = stack.pop()
         yield node
         stack.extend(reversed(_children(node)))
-
-
-def depth(e: Union[ArithExpr, BoolExpr]) -> int:
-    """Height of an expression tree (a leaf has height 1), computed without recursion."""
-    height = 0
-    stack = [(e, 1)]
-    while stack:
-        node, level = stack.pop()
-        height = max(height, level)
-        stack.extend((child, level + 1) for child in _children(node))
-    return height
 
 
 def signal_names(e: Union[ArithExpr, BoolExpr]) -> set[str]:

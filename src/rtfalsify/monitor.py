@@ -43,7 +43,6 @@ samples at once; the one intended difference is that a NaN operand of
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -52,6 +51,8 @@ import numpy as np
 # the scalar reference semantics; bench/tracing.py counts calls to these names
 from .expr import degree, eval_arith, eval_bool  # noqa: F401
 from .expr import (
+    ARITHMETIC,
+    RELATIONS,
     And,
     ArithExpr,
     BinaryArith,
@@ -64,7 +65,6 @@ from .expr import (
     Rel,
     RunError,
     SignalRef,
-    TIE_DEGREE,
     TimeVar,
 )
 from .sim import SignalMismatchError, Trace, write_csv
@@ -185,15 +185,6 @@ def monitor_batch(
 
 # --- whole-array evaluation ---------------------------------------------
 
-_COMPARE = {
-    ">": operator.gt,
-    "<": operator.lt,
-    ">=": operator.ge,
-    "<=": operator.le,
-    "==": operator.eq,
-    "!=": operator.ne,
-}
-
 
 @dataclass
 class ArrayEnv:
@@ -227,29 +218,21 @@ def arith_array(e: ArithExpr, env: ArrayEnv, live=True):
             return env.t
         case PrevRef(name):
             return env.prev[name]
-        case BinaryArith(op, lhs, rhs):
+        case BinaryArith(op, lhs, rhs) if op in ARITHMETIC:
             a = arith_array(lhs, env, live)
             b = arith_array(rhs, env, live)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                env.zero_division = np.logical_or(env.zero_division, np.logical_and(live, b == 0.0))
-                return np.divide(a, b)
-            raise ValueError(f"unknown arithmetic operator {op!r}")
+            if op != "/":
+                return ARITHMETIC[op](a, b)
+            env.zero_division = np.logical_or(env.zero_division, np.logical_and(live, b == 0.0))
+            return np.divide(a, b)  # not truediv: 1 / 0 of two floats returns inf here
     raise TypeError(f"not an arithmetic expression: {e!r}")
 
 
 def holds_array(e: BoolExpr, env: ArrayEnv, live=True):
     """``eval_bool`` elementwise, with ``&`` and ``|`` short-circuiting per sample."""
     match e:
-        case Rel(op, lhs, rhs):
-            if op not in _COMPARE:
-                raise ValueError(f"unknown relational operator {op!r}")
-            return _COMPARE[op](arith_array(lhs, env, live), arith_array(rhs, env, live))
+        case Rel(op, lhs, rhs) if op in RELATIONS:
+            return RELATIONS[op].holds(arith_array(lhs, env, live), arith_array(rhs, env, live))
         case And(lhs, rhs):
             left = holds_array(lhs, env, live)
             return np.logical_and(left, holds_array(rhs, env, np.logical_and(live, left)))
@@ -265,21 +248,11 @@ def holds_array(e: BoolExpr, env: ArrayEnv, live=True):
 def degree_array(e: BoolExpr, env: ArrayEnv, live=True):
     """``degree`` elementwise; ``&`` and ``|`` evaluate both sides, as ``degree`` does."""
     match e:
-        case Rel(op, lhs, rhs):
-            a = arith_array(lhs, env, live)
-            b = arith_array(rhs, env, live)
-            if op in (">", ">="):
-                d = a - b
-            elif op in ("<", "<="):
-                d = b - a
-            elif op == "==":
-                d = -abs(a - b)
-            elif op == "!=":
-                d = abs(a - b)
-            else:
-                raise ValueError(f"unknown relational operator {op!r}")
+        case Rel(op, lhs, rhs) if op in RELATIONS:
+            relation = RELATIONS[op]
+            d = relation.margin(arith_array(lhs, env, live), arith_array(rhs, env, live))
             tie = d == 0
-            return np.where(tie, TIE_DEGREE[op], d) if np.count_nonzero(tie) else d
+            return np.where(tie, relation.tie, d) if np.count_nonzero(tie) else d
         case And(lhs, rhs):
             return np.minimum(degree_array(lhs, env, live), degree_array(rhs, env, live))
         case Or(lhs, rhs):

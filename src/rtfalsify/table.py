@@ -35,7 +35,9 @@ from functools import cached_property
 from typing import Sequence
 
 from .expr import (
+    ARITHMETIC,
     REL_OPS,
+    RELATIONS,
     And,
     ArithExpr,
     BinaryArith,
@@ -47,7 +49,6 @@ from .expr import (
     Rel,
     SignalRef,
     TimeVar,
-    depth,
     prev_names,
     signal_names,
 )
@@ -172,6 +173,7 @@ _TOKEN_RE = re.compile(
 # relation fails the operand check, since a condition is not arithmetic
 _PRECEDENCE = {"|": 1, "&": 2, **dict.fromkeys(REL_OPS, 3), "+": 4, "-": 4, "*": 5, "/": 5}
 _CONDITIONS = (Rel, And, Or, Not)
+_ARITHMETIC = (BinaryArith, Const, SignalRef, TimeVar, PrevRef)
 
 
 class _Token:
@@ -261,10 +263,9 @@ class _ExprParser:
         tok = self._peek()
         if tok is not None:
             raise TableSyntaxError(f"unexpected {tok.text!r}", self.line, tok.column)
-        if depth(e) > MAX_NESTING:
-            raise TableSyntaxError(
-                f"expression nested deeper than {MAX_NESTING} levels", self.line, self.column_offset
-            )
+        problem = _malformed(e, condition)  # of a parsed tree, only its depth can be wrong
+        if problem:
+            raise TableSyntaxError(f"expression {problem}", self.line, self.column_offset)
         return e
 
     def _expr(self, min_precedence: int):
@@ -483,7 +484,8 @@ def validate(table: RequirementsTable) -> list[Diagnostic]:
     durations are non-negative and only appear with a precondition,
     preconditions read only inputs (and t), postconditions read inputs and
     outputs, actions assign declared outputs from input-only expressions,
-    and every prev(...) signal and action target has an initial value.
+    every prev(...) signal and action target has an initial value, and each
+    cell is a tree of its kind, with known operators, at most MAX_NESTING deep.
     """
     diags: list[Diagnostic] = []
     add = diags.append
@@ -530,6 +532,14 @@ def validate(table: RequirementsTable) -> list[Diagnostic]:
             elif req.duration < 0:
                 add(Diagnostic("NegativeDuration", f"duration {req.duration} < 0", idx))
 
+        cells = [("precondition", req.precondition, True)]
+        cells += [("postcondition", req.postcondition, True)]
+        cells += [("action value", action.value, False) for action in req.actions]
+        for where, expr, condition in cells:
+            problem = expr is not None and _malformed(expr, condition)
+            if problem:
+                add(Diagnostic("MalformedExpression", f"{where}: {problem}", idx))
+
         if req.precondition is not None:
             _check_refs(diags, idx, "precondition", req.precondition, inputs, inputs, declared)
         if req.postcondition is not None:
@@ -567,6 +577,32 @@ def validate(table: RequirementsTable) -> list[Diagnostic]:
             add(Diagnostic("MissingInitialValue", f"'{sig}' needs an init value", idx))
 
     return diags
+
+
+def _malformed(e, condition: bool) -> str | None:
+    """Why ``e`` is not a tree the evaluators can run as a condition (else as arithmetic).
+
+    None when it is. Walks without recursion, as ``iter_nodes`` does, so a
+    hand-built tree too deep for the recursive evaluators is reported, not met.
+    """
+    stack = [(e, condition, 1)]
+    while stack:
+        node, condition, level = stack.pop()
+        if not isinstance(node, _CONDITIONS if condition else _ARITHMETIC):
+            kind = "a condition" if condition else "an arithmetic expression"
+            return f"expected {kind}, found {type(node).__name__}"
+        if level > MAX_NESTING:
+            return f"nested deeper than {MAX_NESTING} levels"
+        match node:
+            case Rel(op, lhs, rhs) | BinaryArith(op, lhs, rhs):
+                if op not in (RELATIONS if condition else ARITHMETIC):
+                    return f"unknown operator {op!r}"
+                stack += [(lhs, False, level + 1), (rhs, False, level + 1)]
+            case And(lhs, rhs) | Or(lhs, rhs):
+                stack += [(lhs, True, level + 1), (rhs, True, level + 1)]
+            case Not(operand):
+                stack.append((operand, True, level + 1))
+    return None
 
 
 def _check_refs(

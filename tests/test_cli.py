@@ -431,9 +431,16 @@ def test_falsify_sample_count_out_of_memory_is_usage_error(tmp_path, capsys, mon
         ("--sa-temp", "0", "argument --sa-temp: must be finite and > 0"),
         ("--sa-temp", "nan", "argument --sa-temp: must be finite and > 0"),
         ("--sa-temp", "inf", "argument --sa-temp: must be finite and > 0"),
+        # as in .rt cells: ASCII digits only, no digit-group underscores
+        ("--budget", "١٠", "argument --budget: expected a whole number, got '١٠'"),
+        ("--dt", "0_5", "argument --dt: expected a number, got '0_5'"),
+        ("--input", "u1:-1_0:1_0", "--input expects NAME:LO:HI[:K], got 'u1:-1_0:1_0'"),
     ],
 )
-def test_falsify_malformed_number_is_usage_error(capsys, option, value, message):
+def test_falsify_malformed_number_is_usage_error(
+    tmp_path, monkeypatch, capsys, option, value, message
+):
+    monkeypatch.chdir(tmp_path)  # a wrongly accepted number would search and write ./out
     assert run_cli("falsify", "--model", "omm-v1", "--table", "omm-rt0", option, value) == 2
     assert assert_one_usage_line(capsys.readouterr().err) == f"usage error: {message}\n"
 

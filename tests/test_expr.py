@@ -225,6 +225,68 @@ def test_tie_degree_survives_the_engines_float_operations():
     assert (-ties < 0).tolist() == [[False, True]]
 
 
+# --- every operator, written out by hand --------------------------------------
+
+# the scalar reference and the array engine read one operator table, so the
+# array-against-scalar test below cannot catch a wrong entry; these pin each one
+
+# (x, y): greater, less, equal, and equal zeros of opposite sign
+_PAIRS = ((2.0, 1.0), (1.0, 2.0), (1.0, 1.0), (0.0, -0.0))
+
+# per relation and pair: the truth of x op y and its degree (the margin, or ±TINY at a tie)
+_RELATIONS_BY_HAND = {
+    ">": ((True, 1.0), (False, -1.0), (False, -TINY), (False, -TINY)),
+    "<": ((False, -1.0), (True, 1.0), (False, -TINY), (False, -TINY)),
+    ">=": ((True, 1.0), (False, -1.0), (True, TINY), (True, TINY)),
+    "<=": ((False, -1.0), (True, 1.0), (True, TINY), (True, TINY)),
+    "==": ((False, -1.0), (False, -1.0), (True, TINY), (True, TINY)),
+    "!=": ((True, 1.0), (True, 1.0), (False, -TINY), (False, -TINY)),
+}
+# per arithmetic operator and pair: the value of x op y, None where it divides by zero
+_ARITHMETIC_BY_HAND = {
+    "+": (3.0, 3.0, 2.0, 0.0),
+    "-": (1.0, -1.0, 0.0, 0.0),
+    "*": (2.0, 2.0, 1.0, -0.0),
+    "/": (2.0, 0.5, 1.0, None),
+}
+
+
+def _bound(x, y):
+    """``x`` and ``y`` bound for the scalar reference and for the array engine."""
+    array_env = ArrayEnv(signals={"x": np.array([x]), "y": np.array([y])}, prev={}, t=0.0)
+    return Env(signals={"x": x, "y": y}), array_env
+
+
+def test_every_relation_covered_by_hand():
+    assert tuple(_RELATIONS_BY_HAND) == REL_OPS
+
+
+@pytest.mark.parametrize("op", list(_RELATIONS_BY_HAND))
+def test_relation_by_hand(op):
+    atom = Rel(op, SignalRef("x"), SignalRef("y"))
+    for (x, y), (truth, expected) in zip(_PAIRS, _RELATIONS_BY_HAND[op]):
+        env, array_env = _bound(x, y)
+        assert eval_bool(atom, env) is truth, (x, y)
+        assert holds_array(atom, array_env).tolist() == [truth], (x, y)
+        degrees = [degree(atom, env), float(degree_array(atom, array_env)[0])]
+        assert same_bits(degrees, [expected] * 2), (x, y, degrees)
+
+
+@pytest.mark.parametrize("op", list(_ARITHMETIC_BY_HAND))
+def test_arithmetic_by_hand(op):
+    e = BinaryArith(op, SignalRef("x"), SignalRef("y"))
+    for (x, y), expected in zip(_PAIRS, _ARITHMETIC_BY_HAND[op]):
+        env, array_env = _bound(x, y)
+        with np.errstate(all="ignore"):
+            value = float(arith_array(e, array_env)[0])
+        assert np.any(array_env.zero_division) == (expected is None), (x, y)
+        if expected is None:
+            with pytest.raises(DivisionByZeroError):
+                eval_arith(e, env)
+        else:
+            assert same_bits([eval_arith(e, env), value], [expected] * 2), (x, y, value)
+
+
 # --- array evaluation against the scalar reference ----------------------------
 
 # exact zeros of both signs and repeated values make ties, equal operands and

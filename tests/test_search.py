@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rtfalsify.search as search
+from rtfalsify.expr import BinaryArith, Const, Not, Rel, SignalRef
 from rtfalsify.monitor import compile_table, run_monitor
 from rtfalsify.search import (
     ArityMismatchError,
@@ -21,7 +22,13 @@ from rtfalsify.search import (
     violated_requirements,
 )
 from rtfalsify.sim import NonFiniteOutputError, SignalMismatchError, SystemModel, Trace, make_model
-from rtfalsify.table import RequirementsTable, parse_table
+from rtfalsify.table import (
+    Assignment,
+    Requirement,
+    RequirementsTable,
+    TableValidationError,
+    parse_table,
+)
 
 INF = math.inf
 
@@ -459,6 +466,64 @@ def test_signal_mismatch_fails_before_any_simulation(inputs, table_inputs, messa
     assert model.batches == 0
     falsify(matched, table("u, y"), single_signal_pi(), SearchConfig(budget=10))
     assert matched.batches > 0
+
+
+_FIVE = Const(5.0)
+_Y_BELOW_FIVE = Rel("<", SignalRef("y"), _FIVE)
+
+
+def _nested_not(levels):
+    e = _Y_BELOW_FIVE
+    for _ in range(levels):
+        e = Not(e)
+    return e
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (
+            Requirement(1, postcondition=Rel("=>", SignalRef("y"), _FIVE)),
+            "postcondition: unknown operator '=>'",
+        ),
+        (
+            Requirement(1, postcondition=Rel("<", BinaryArith("%", SignalRef("y"), _FIVE), _FIVE)),
+            "postcondition: unknown operator '%'",
+        ),
+        (
+            Requirement(1, precondition=SignalRef("u"), postcondition=_Y_BELOW_FIVE),
+            "precondition: expected a condition, found SignalRef",
+        ),
+        (
+            Requirement(1, actions=(Assignment("z", _Y_BELOW_FIVE),)),
+            "action value: expected an arithmetic expression, found Rel",
+        ),
+        (
+            Requirement(1, postcondition=_nested_not(5000)),
+            "postcondition: nested deeper than 100 levels",
+        ),
+    ],
+    ids=["relation", "arithmetic", "signal-precondition", "condition-action", "deep"],
+)
+def test_malformed_cell_fails_before_any_simulation(row, message):
+    # hand-built cells the parser never makes: validation rejects them, so the
+    # engine never meets them
+    outputs = ("z",) if row.actions else ()
+    table = RequirementsTable(
+        name="T",
+        inputs=("u", "y"),
+        outputs=outputs,
+        initial_values=dict.fromkeys(outputs, 0.0),
+        requirements=(row,),
+    )
+    model = CountingModel()
+    with pytest.raises(TableValidationError) as err:
+        falsify(model, table, single_signal_pi(), SearchConfig(budget=10))
+    assert [str(d) for d in err.value.diagnostics] == [f"req 1: MalformedExpression: {message}"]
+    assert model.batches == 0
+    trace = Trace(dt=1.0, samples={"u": np.zeros(3), "y": np.zeros(3)})
+    with pytest.raises(TableValidationError):
+        run_monitor(table, trace)
 
 
 def sequential_outcome(model, automaton, pi, seed, budget):
