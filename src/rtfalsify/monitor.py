@@ -67,7 +67,7 @@ from .expr import (
     SignalRef,
     TimeVar,
 )
-from .sim import SignalMismatchError, Trace, write_csv
+from .sim import Trace, require_signals, write_csv
 from .table import Requirement, RequirementsTable, TableValidationError
 
 INF = math.inf
@@ -176,9 +176,7 @@ def monitor_batch(
     """
     if table.diagnostics:  # cached on the table, so checked once however often it runs
         raise TableValidationError(table.diagnostics)
-    missing = [s for s in table.inputs if s not in signals]
-    if missing:
-        raise SignalMismatchError(f"trace is missing table inputs: {', '.join(missing)}")
+    require_signals(table.inputs, signals, "trace is missing table inputs")
     with np.errstate(all="ignore"):
         return _Engine(table, signals, times).run()
 

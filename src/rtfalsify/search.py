@@ -29,7 +29,7 @@ import numpy as np
 
 from .expr import RunError
 from .monitor import MonitorBatch, MonitorRun, compile_table, monitor_batch, run_monitor
-from .sim import SignalMismatchError, SystemModel, Trace, n_samples_for, simulate, simulate_batch
+from .sim import SystemModel, Trace, n_samples_for, require_signals, simulate, simulate_batch
 from .table import RequirementsTable
 
 INF = math.inf
@@ -289,13 +289,8 @@ def _evaluate_batch(model, table, pi: ParameterizedInput, params) -> tuple[dict,
 def _check_signals(model: SystemModel, table: RequirementsTable, pi: ParameterizedInput) -> None:
     """Raise SignalMismatchError unless the box feeds the model and the traces feed the table."""
     box = [shape.name for shape in pi.shapes]
-    for needed, given, message in (
-        (model.inputs, box, "input trace is missing signals"),
-        (table.inputs, [*box, *model.outputs], "trace is missing table inputs"),
-    ):
-        missing = [s for s in needed if s not in given]
-        if missing:
-            raise SignalMismatchError(f"{message}: {', '.join(missing)}")
+    require_signals(model.inputs, box, "input trace is missing signals")
+    require_signals(table.inputs, [*box, *model.outputs], "trace is missing table inputs")
 
 
 def violated_requirements(run: MonitorRun) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +41,13 @@ class NonFiniteOutputError(SimError):
 
 class TraceFormatError(SimError):
     pass
+
+
+def require_signals(needed: Sequence[str], given: Collection[str], message: str) -> None:
+    """Raise SignalMismatchError naming, in order, the ``needed`` signals not ``given``."""
+    missing = [s for s in needed if s not in given]
+    if missing:
+        raise SignalMismatchError(f"{message}: {', '.join(missing)}")
 
 
 @dataclass
@@ -229,9 +236,7 @@ def simulate_batch(
     A non-finite output is reported at its earliest step, outputs in
     declared order.
     """
-    missing = [s for s in model.inputs if s not in inputs]
-    if missing:
-        raise SignalMismatchError(f"input trace is missing signals: {', '.join(missing)}")
+    require_signals(model.inputs, inputs, "input trace is missing signals")
     produced = model.run_batch(inputs, dt)
     finite = [np.isfinite(produced[name]) for name in model.outputs]
     # np.count_nonzero costs less than ndarray.all() on the small arrays of a search
@@ -273,7 +278,8 @@ def read_trace_csv(path: str) -> Trace:
     the step size is inferred from it. Column names must be distinct.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports begin with
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -57,6 +57,7 @@ RESERVED_NAMES = frozenset({"t", "prev"})
 # bounds both the parser's and the evaluators' recursion, far below Python's limit
 MAX_NESTING = 100
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*\Z")
+_NUMBERS = (int, float)  # what a hand-built constant, duration or init value may be
 _INDEX_RE = re.compile(r"[+-]?[0-9]+\Z")
 # as in editors, Python and csv; str.splitlines() would also split at \f, \v, U+2028, ...
 _LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
@@ -107,22 +108,15 @@ class RequirementsTable:
     @cached_property
     def prev_signals(self) -> tuple[str, ...]:
         """Signals read through prev(...) anywhere in the table, sorted."""
-        found: set[str] = set()
-        for req in self.requirements:
-            for expr in (req.precondition, req.postcondition, *(a.value for a in req.actions)):
-                if expr is not None:
-                    found |= prev_names(expr)
-        return tuple(sorted(found))
+        cells = [tree for req in self.requirements for _, tree, _ in _cells(req)]
+        return tuple(sorted(set().union(*map(prev_names, cells))))
 
     @cached_property
     def recurrent(self) -> bool:
         """True when an action reads prev() of a table output, so step k needs step k-1."""
         outputs = set(self.outputs)
-        return any(
-            prev_names(action.value) & outputs
-            for req in self.requirements
-            for action in req.actions
-        )
+        cells = (cell for req in self.requirements for cell in _cells(req))
+        return any(prev_names(tree) & outputs for _, tree, action in cells if action is not None)
 
 
 @dataclass(frozen=True)
@@ -338,7 +332,7 @@ def parse_table(text: str) -> RequirementsTable:
 
 def load_table(path: str) -> RequirementsTable:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # -sig: drop a leading byte-order mark
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise TableSyntaxError(f"not valid UTF-8: {exc}", 1) from None
@@ -486,17 +480,20 @@ def validate(table: RequirementsTable) -> list[Diagnostic]:
     outputs, actions assign declared outputs from input-only expressions,
     every prev(...) signal and action target has an initial value, and each
     cell is a tree of its kind, with known operators, at most MAX_NESTING deep.
+    A hand-built table's names are ``str``, its durations, initial values and
+    constants ``int`` or ``float``, and its indexes ``int``. The names a
+    malformed cell reads are not checked.
     """
     diags: list[Diagnostic] = []
     add = diags.append
 
-    if not _IDENT_RE.match(table.name):
+    if not _is_name(table.name):
         add(Diagnostic("BadName", f"invalid table name {table.name!r}"))
 
     declared: set[str] = set()
     for role, names in (("input", table.inputs), ("output", table.outputs)):
         for sig in names:
-            if not _IDENT_RE.match(sig):
+            if not _is_name(sig):
                 add(Diagnostic("BadName", f"invalid {role} name {sig!r}"))
             elif sig in RESERVED_NAMES:
                 add(Diagnostic("ReservedName", f"'{sig}' is reserved and cannot be declared"))
@@ -505,11 +502,20 @@ def validate(table: RequirementsTable) -> list[Diagnostic]:
             declared.add(sig)
     inputs = set(table.inputs)
     outputs = set(table.outputs)
+    # what each cell may read now and through prev(); an action value reads no output now,
+    # so that no action depends on the order the actions run in
+    may_read = {
+        "precondition": (inputs, inputs),
+        "postcondition": (declared, declared),
+        "action value": (inputs, declared),
+    }
 
     for sig, value in table.initial_values.items():
         if sig not in declared:
             add(Diagnostic("UnknownSignal", f"init for undeclared signal '{sig}'"))
-        if not math.isfinite(value):
+        if not isinstance(value, _NUMBERS):
+            add(Diagnostic("BadInitialValue", f"init {sig} = {value!r} is not a number"))
+        elif not math.isfinite(value):
             add(Diagnostic("BadInitialValue", f"init {sig} = {value!r} is not finite"))
 
     seen_indexes: set[int] = set()
@@ -519,64 +525,63 @@ def validate(table: RequirementsTable) -> list[Diagnostic]:
         if idx in seen_indexes:
             add(Diagnostic("DuplicateIndex", f"index {idx} already used", idx))
         seen_indexes.add(idx)
-        if idx != pos:
-            add(Diagnostic("NonContiguousIndex", f"expected index {pos}, found {idx}", idx))
+        if not isinstance(idx, int) or idx != pos:
+            add(Diagnostic("NonContiguousIndex", f"expected index {pos}, found {idx!r}", idx))
 
         if req.postcondition is None and not req.actions:
             add(Diagnostic("EmptyRequirement", "needs a postcondition or an action", idx))
         if req.duration is not None:
             if req.precondition is None:
                 add(Diagnostic("DurationWithoutPrecondition", "duration needs a precondition", idx))
-            if not math.isfinite(req.duration):
+            if not isinstance(req.duration, _NUMBERS):
+                message = f"duration {req.duration!r} is not a number"
+                add(Diagnostic("InvalidDuration", message, idx))
+            elif not math.isfinite(req.duration):
                 add(Diagnostic("InvalidDuration", "duration must be finite", idx))
             elif req.duration < 0:
                 add(Diagnostic("NegativeDuration", f"duration {req.duration} < 0", idx))
 
-        cells = [("precondition", req.precondition, True)]
-        cells += [("postcondition", req.postcondition, True)]
-        cells += [("action value", action.value, False) for action in req.actions]
-        for where, expr, condition in cells:
-            problem = expr is not None and _malformed(expr, condition)
-            if problem:
-                add(Diagnostic("MalformedExpression", f"{where}: {problem}", idx))
-
-        if req.precondition is not None:
-            _check_refs(diags, idx, "precondition", req.precondition, inputs, inputs, declared)
-        if req.postcondition is not None:
-            _check_refs(
-                diags, idx, "postcondition", req.postcondition, declared, declared, declared
-            )
         seen_targets: set[str] = set()
-        for action in req.actions:
-            if action.target in seen_targets:
-                add(Diagnostic("DuplicateActionTarget", f"'{action.target}' assigned twice", idx))
-            seen_targets.add(action.target)
-            if action.target not in outputs:
-                add(
-                    Diagnostic(
-                        "UnknownSignal",
-                        f"action target '{action.target}' is not a declared output",
-                        idx,
-                    )
-                )
-            else:
-                needs_init.setdefault(action.target, idx)
-            # current-step reads in action values are restricted to inputs so
-            # that action results never depend on evaluation order
-            _check_refs(diags, idx, "action value", action.value, inputs, declared, declared)
-
-        for expr in (req.precondition, req.postcondition, *(a.value for a in req.actions)):
-            if expr is None:
+        read_prev: list[str] = []  # noted for the init rule after the row's action targets
+        for role, tree, action in _cells(req):
+            if action is not None:
+                target = action.target
+                if target in seen_targets:
+                    add(Diagnostic("DuplicateActionTarget", f"'{target}' assigned twice", idx))
+                seen_targets.add(target)
+                if target in outputs:
+                    needs_init.setdefault(target, idx)
+                else:
+                    message = f"action target '{target}' is not a declared output"
+                    add(Diagnostic("UnknownSignal", message, idx))
+            problem = _malformed(tree, action is None)
+            if problem:
+                add(Diagnostic("MalformedExpression", f"{role}: {problem}", idx))
                 continue
-            for sig in prev_names(expr):
-                if sig in declared:
-                    needs_init.setdefault(sig, idx)
+            now, before = may_read[role]
+            prevs = sorted(prev_names(tree))
+            reads = [(f"'{sig}'", sig, now) for sig in sorted(signal_names(tree))]
+            reads += [(f"prev('{sig}')", sig, before) for sig in prevs]
+            for read, sig, allowed in reads:
+                if sig not in allowed:
+                    detail = "may not be read here" if sig in declared else "is not declared"
+                    add(Diagnostic("UnknownSignal", f"{role}: {read} {detail}", idx))
+            read_prev += (sig for sig in prevs if sig in declared)
+        for sig in read_prev:
+            needs_init.setdefault(sig, idx)
 
     for sig, idx in needs_init.items():
         if sig not in table.initial_values:
             add(Diagnostic("MissingInitialValue", f"'{sig}' needs an init value", idx))
 
     return diags
+
+
+def _cells(req: Requirement) -> list[tuple[str, BoolExpr | ArithExpr, Assignment | None]]:
+    """A requirement's present cells in table order, as ``(role, tree, action or None)``."""
+    conditions = zip(("precondition", "postcondition"), (req.precondition, req.postcondition))
+    cells = [(role, tree, None) for role, tree in conditions if tree is not None]
+    return cells + [("action value", action.value, action) for action in req.actions]
 
 
 def _malformed(e, condition: bool) -> str | None:
@@ -602,28 +607,15 @@ def _malformed(e, condition: bool) -> str | None:
                 stack += [(lhs, True, level + 1), (rhs, True, level + 1)]
             case Not(operand):
                 stack.append((operand, True, level + 1))
+            case Const(value) if not isinstance(value, _NUMBERS):
+                return f"constant {value!r} is not a number"
+            case SignalRef(name) | PrevRef(name) if not isinstance(name, str):
+                return f"signal name {name!r} is not a string"
     return None
 
 
-def _check_refs(
-    diags: list[Diagnostic],
-    idx: int,
-    where: str,
-    expr: BoolExpr | ArithExpr,
-    allowed_current: set[str],
-    allowed_prev: set[str],
-    declared: set[str],
-) -> None:
-    for sig in sorted(signal_names(expr)):
-        if sig in allowed_current:
-            continue
-        detail = "may not be read here" if sig in declared else "is not declared"
-        diags.append(Diagnostic("UnknownSignal", f"{where}: '{sig}' {detail}", idx))
-    for sig in sorted(prev_names(expr)):
-        if sig in allowed_prev:
-            continue
-        detail = "may not be read here" if sig in declared else "is not declared"
-        diags.append(Diagnostic("UnknownSignal", f"{where}: prev('{sig}') {detail}", idx))
+def _is_name(name: object) -> bool:
+    return isinstance(name, str) and _IDENT_RE.match(name) is not None
 
 
 def load_bundled_table(name: str) -> RequirementsTable:
@@ -635,4 +627,4 @@ def load_bundled_table(name: str) -> RequirementsTable:
     resource = files("rtfalsify").joinpath("tables").joinpath(f"{name}.rt")
     if not resource.is_file():
         raise FileNotFoundError(f"no bundled table named '{name}'")
-    return parse_table(resource.read_text(encoding="utf-8"))
+    return parse_table(resource.read_text(encoding="utf-8-sig"))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -45,6 +46,25 @@ def test_check_missing_init_exit_code(tmp_path, capsys):
     path.write_text("table T\ninputs x\nreq 1\n  post x - prev(x) < 1\n")
     assert run_cli("check", str(path)) == 1
     assert "MissingInitialValue" in capsys.readouterr().err
+
+
+def test_check_lists_diagnostics_in_a_fixed_order(tmp_path):
+    # a cell's prev() names are a set, whose order follows the string hash seed
+    path = tmp_path / "prev.rt"
+    cell = "prev(a) + prev(b) + prev(c) + prev(d) > 0"
+    path.write_text(f"table T\ninputs a, b, c, d\nreq 1\n  post {cell}\n")
+    errors = []
+    for seed in range(4):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rtfalsify.cli", "check", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        assert proc.returncode == 1
+        errors.append(proc.stderr)
+    expected = "".join(f"req 1: MissingInitialValue: '{s}' needs an init value\n" for s in "abcd")
+    assert errors == [expected] * 4
 
 
 def test_check_syntax_failure(tmp_path, capsys):
@@ -213,6 +233,20 @@ def test_monitor_writes_the_degree_csv(tmp_path, capsys):
         b"2.0,-inf,1.0,-inf\r\n"
         b"3.0,inf,0.5,-inf\r\n"
     )
+
+
+def test_monitor_reads_a_trace_with_a_byte_order_mark(tmp_path):
+    # as spreadsheets write a "CSV UTF-8" file
+    table_path = tmp_path / "x.rt"
+    table_path.write_text("table T\ninputs x\ninit x = 0\nreq 1\n  post x - prev(x) < 1\n")
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_trace_csv(Trace(dt=1.0, samples={"x": np.linspace(3.0, 5.0, 9)}), str(plain))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for trace in (plain, marked):
+        out = str(tmp_path / trace.stem)
+        assert run_cli("monitor", str(table_path), str(trace), "--out", out) == 0
+    degrees = (tmp_path / "marked" / "degrees.csv").read_bytes()
+    assert degrees == (tmp_path / "plain" / "degrees.csv").read_bytes()
 
 
 def test_monitor_missing_column_fails(tmp_path, sc_path):

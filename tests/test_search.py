@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import rtfalsify.search as search
-from rtfalsify.expr import BinaryArith, Const, Not, Rel, SignalRef
+from rtfalsify.expr import BinaryArith, Const, Not, PrevRef, Rel, SignalRef
 from rtfalsify.monitor import compile_table, run_monitor
 from rtfalsify.search import (
     ArityMismatchError,
@@ -502,8 +502,28 @@ def _nested_not(levels):
             Requirement(1, postcondition=_nested_not(5000)),
             "postcondition: nested deeper than 100 levels",
         ),
+        (
+            Requirement(1, postcondition=Rel("<", SignalRef("y"), Const("x"))),
+            "postcondition: constant 'x' is not a number",
+        ),
+        (
+            Requirement(1, postcondition=Rel("<", SignalRef("y"), Const(None))),
+            "postcondition: constant None is not a number",
+        ),
+        (
+            Requirement(1, postcondition=Rel("<", SignalRef(3), SignalRef("y"))),
+            "postcondition: signal name 3 is not a string",
+        ),
+        # a malformed cell's names are not read, so prev(y) asks for no init
+        (
+            Requirement(1, postcondition=Rel("<", PrevRef(3), PrevRef("y"))),
+            "postcondition: signal name 3 is not a string",
+        ),
     ],
-    ids=["relation", "arithmetic", "signal-precondition", "condition-action", "deep"],
+    ids=[
+        "relation", "arithmetic", "signal-precondition", "condition-action", "deep",
+        "text-constant", "none-constant", "int-signal-name", "int-prev-name",
+    ],
 )
 def test_malformed_cell_fails_before_any_simulation(row, message):
     # hand-built cells the parser never makes: validation rejects them, so the

@@ -13,6 +13,7 @@ from rtfalsify.table import (
     RequirementsTable,
     TableSyntaxError,
     TableValidationError,
+    load_table,
     parse_arith_expr,
     parse_bool_expr,
     parse_table,
@@ -65,6 +66,13 @@ def test_parse_sc_structure():
     assert req1.actions == (
         Assignment("F_diff", BinaryArith("-", SignalRef("F_s"), PrevRef("F_s"))),
     )
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    plain, marked = tmp_path / "plain.rt", tmp_path / "marked.rt"
+    plain.write_bytes(SC_TEXT.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + SC_TEXT.encode())
+    assert load_table(str(marked)) == load_table(str(plain))
 
 
 def test_parse_empty_table():
@@ -179,11 +187,32 @@ X_POSITIVE = Rel(">", SignalRef("x"), Const(0.0))
             ),
             "req 1: InvalidDuration: duration must be finite",
         ),
+        (RequirementsTable(name=5), "BadName: invalid table name 5"),
+        (RequirementsTable(name="T", inputs=(5,)), "BadName: invalid input name 5"),
+        (
+            RequirementsTable(
+                name="T",
+                inputs=("x",),
+                requirements=(Requirement(1, X_POSITIVE, duration="5", postcondition=X_POSITIVE),),
+            ),
+            "req 1: InvalidDuration: duration '5' is not a number",
+        ),
+        (
+            RequirementsTable(name="T", inputs=("x",), initial_values={"x": "1"}),
+            "BadInitialValue: init x = '1' is not a number",
+        ),
+        (
+            RequirementsTable(
+                name="T", inputs=("x",), requirements=(Requirement("1", postcondition=X_POSITIVE),)
+            ),
+            "req 1: NonContiguousIndex: expected index 1, found '1'",
+        ),
     ],
     ids=[
         "reserved-input", "duplicate-input", "input-and-output", "init-undeclared",
         "prev-undeclared", "action-target-twice", "bad-table-name", "bad-output-name",
-        "infinite-init", "nan-duration",
+        "infinite-init", "nan-duration", "int-table-name", "int-input-name", "text-duration",
+        "text-init", "text-index",
     ],
 )
 def test_validation_diagnostics(table, diagnostic):
